@@ -139,6 +139,7 @@ def _cmd_simulate(args, t0):
         "n": args.n, "power": args.power, "beta": sysm.beta,
         "n_steps": report.n_steps, "trials": report.trials,
         "seed": report.seed, "rng_algorithm": report.rng_algorithm,
+        "precision_limited": report.precision_limited,
         "per_sender_mse": report.per_sender_mse.tolist(),
         "mse_exponents": report.mse_exponents.tolist(),
         "empirical_powers": report.empirical_powers.tolist(),

@@ -21,19 +21,18 @@ per axis). Rates and exponents are reported per complex symbol in bits by
 default.
 """
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SolverError
+from .montecarlo import (RNG_ALGORITHM, check_seed, chunk_draws, map_chunks,
+                         precision_limited)
 from .riccati import dale_solve, dare_circulant
 from .sum_capacity import MacParams, solve_phi, _LN
 
 CENTER = 0.5 + 0.5j
 MESSAGE_VAR = 1.0 / 6.0           # two uniform(0,1) axes, 1/12 each
-RNG_ALGORITHM = "philox4x64 keyed by (seed, trial)"
-_CHUNK = 1024                     # fixed so results do not depend on threads
 
 
 @dataclass(frozen=True)
@@ -65,13 +64,19 @@ class LinearController:
 
 @dataclass(frozen=True)
 class SimReport:
-    """Aggregated Monte Carlo results; exponents are in bits."""
+    """Aggregated Monte Carlo results; exponents are in bits.
+
+    precision_limited is set when n_steps log2(beta) is past the float64
+    decoder floor (montecarlo.DECODER_BITS): the sampled MSE then measures
+    rounding, and the exponents fall short of the exact ones.
+    """
     n_steps: int
     trials: int
     per_sender_mse: np.ndarray
     mse_exponents: np.ndarray
     empirical_powers: np.ndarray
     seed: int
+    precision_limited: bool
     rng_algorithm: str = RNG_ALGORITHM
 
 
@@ -243,65 +248,52 @@ def exact_step_table(sys, ctrl, n_steps, noise_var=1.0):
         yield i, sys.beta ** (-2.0 * i) * diag, gains_sq * diag
 
 
-def _trial_stream(seed, trial):
-    # 128-bit Philox key: low word the run seed, high word the trial index
-    key = (int(seed) & ((1 << 64) - 1)) | (int(trial) << 64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def _run_chunk(sys, ctrl, n_steps, seed, trials_range, noise_var):
+def _run_chunk(sys, ctrl, n_steps, seed, chunk, count, noise_var):
     n = sys.n
     a = sys.a_diag
-    count = len(trials_range)
-    msgs = np.empty((count, n), dtype=complex)
-    noise = np.empty((count, n_steps), dtype=complex)
-    scale = math.sqrt(noise_var / 2.0)
-    for row, trial in enumerate(trials_range):
-        g = _trial_stream(seed, trial)
-        u = g.random(size=(n, 2))
-        msgs[row] = u[:, 0] + 1j * u[:, 1]
-        z = g.normal(0.0, scale, size=(n_steps, 2)) if noise_var > 0 \
-            else np.zeros((n_steps, 2))
-        noise[row] = z[:, 0] + 1j * z[:, 1]
-    S = msgs - CENTER
+    u, z = chunk_draws(seed, chunk, (count, n, 2), (count, n_steps, 2),
+                       math.sqrt(noise_var / 2.0))
+    m = u[..., 0] + 1j * u[..., 1] - CENTER
+    noise = z[..., 0] + 1j * z[..., 1]
+    S = m.copy()
     Sh = np.zeros_like(S)
-    y = np.zeros(count, dtype=complex)
-    pow_acc = np.zeros(n)
+    y = np.zeros((count, 1), dtype=complex)
+    # sum over trials and steps of |S|^2, per real axis of each sender
+    state_sq = np.zeros(2 * n)
+    S_axes = S.view(np.float64)
     for i in range(n_steps):
-        S = S * a + y[:, None]
-        Sh = Sh * a + y[:, None]
-        symbols = -ctrl.gains * S
-        pow_acc += (np.abs(symbols) ** 2).sum(axis=0)
-        y = symbols.sum(axis=1) + noise[:, i]
+        S *= a
+        S += y
+        Sh *= a
+        Sh += y
+        state_sq += np.einsum("ij,ij->j", S_axes, S_axes)
+        # einsum rather than S @ gains: a BLAS product may start its own
+        # threads, which fight the chunk pool (3x slower at N=16, 2 threads)
+        y = (noise[:, i] - np.einsum("ij,j->i", S, ctrl.gains))[:, None]
     mhat = -(a ** (-n_steps)) * Sh
-    err = (msgs - CENTER) - mhat
-    return (np.abs(err) ** 2).sum(axis=0), pow_acc
+    err = m - mhat
+    powers = (np.abs(ctrl.gains) ** 2) * (state_sq[0::2] + state_sq[1::2])
+    return (np.abs(err) ** 2).sum(axis=0), powers
 
 
 def simulate(sys, ctrl, n_steps, trials, seed, noise_var=1.0, threads=1):
     """Monte Carlo run of the code over trials independent messages.
 
-    Every trial draws its message and noise from its own counter-based
-    stream keyed by (seed, trial index), so the report is bit-identical
-    for a fixed seed regardless of thread count or execution order.
-    Aggregation happens over fixed-size chunks in index order.
+    Trials run in fixed 1024-trial chunks, each drawing its messages and
+    noise from one counter-based stream keyed by (seed, chunk index), so
+    the report is bit-identical for a fixed seed regardless of thread count
+    or execution order. Chunk sums are added in chunk order. The decoder
+    runs its own mirrored recursion from a zero start on every trial.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if seed < 0 or int(seed) >> 64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-    chunks = [range(lo, min(lo + _CHUNK, trials))
-              for lo in range(0, trials, _CHUNK)]
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(
-                lambda c: _run_chunk(sys, ctrl, n_steps, seed, c, noise_var),
-                chunks))
-    else:
-        parts = [_run_chunk(sys, ctrl, n_steps, seed, c, noise_var)
-                 for c in chunks]
+    check_seed(seed)
+    parts = map_chunks(
+        lambda chunk, count: _run_chunk(sys, ctrl, n_steps, seed, chunk,
+                                        count, noise_var),
+        trials, threads)
     sq_err = np.zeros(sys.n)
     pow_acc = np.zeros(sys.n)
     for se, pa in parts:
@@ -313,7 +305,8 @@ def simulate(sys, ctrl, n_steps, trials, seed, noise_var=1.0, threads=1):
         per_sender_mse=mse,
         mse_exponents=-np.log2(mse) / (2.0 * n_steps),
         empirical_powers=pow_acc / (trials * n_steps),
-        seed=int(seed))
+        seed=int(seed),
+        precision_limited=precision_limited(n_steps, sys.beta))
 
 
 def asymptotic_powers(sys, ctrl):

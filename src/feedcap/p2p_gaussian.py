@@ -25,6 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
+from .montecarlo import (RNG_ALGORITHM, check_seed, chunk_draws, map_chunks,
+                         precision_limited)
 from .sum_capacity import _LN
 
 UNIT_CIRCLE_TOL = 1e-9
@@ -301,7 +303,11 @@ def entropy_rate(s_z, quad=DEFAULT_QUAD, base="bits"):
 
 @dataclass(frozen=True)
 class SkSimReport:
-    """Scalar feedback-code Monte Carlo summary (rates in bits)."""
+    """Scalar feedback-code Monte Carlo summary (rates in bits).
+
+    precision_limited is set when n_steps log2(beta) is past the float64
+    decoder floor, where the sampled MSE measures rounding.
+    """
     power: float
     n_steps: int
     trials: int
@@ -311,7 +317,8 @@ class SkSimReport:
     exponent: float
     empirical_power: float
     x_trajectory: np.ndarray
-    rng_algorithm: str = "philox4x64 keyed by (seed, trial)"
+    precision_limited: bool
+    rng_algorithm: str = RNG_ALGORITHM
 
 
 def sk_recursion_simulate(power, n_steps, seed, trials=10000, noise_var=1.0):
@@ -328,35 +335,33 @@ def sk_recursion_simulate(power, n_steps, seed, trials=10000, noise_var=1.0):
         raise ValueError("power must be positive")
     if n_steps < 1 or trials < 1:
         raise ValueError("n_steps and trials must be >= 1")
+    check_seed(seed)
     beta = math.sqrt(1.0 + power)
     a = (beta * beta - 1.0) / (beta * beta)
     scale = math.sqrt(12.0 * power)
-    sq = 0.0
-    pow_acc = 0.0
-    traj = None
-    for trial in range(trials):
-        key = (int(seed) & ((1 << 64) - 1)) | (trial << 64)
-        g = np.random.Generator(np.random.Philox(key=key))
-        m = g.random()
-        z = g.normal(0.0, math.sqrt(noise_var), size=n_steps) if noise_var > 0 \
-            else np.zeros(n_steps)
+
+    def run_chunk(chunk, count):
+        m, z = chunk_draws(seed, chunk, (count,), (count, n_steps),
+                           math.sqrt(noise_var))
         x = scale * (m - 0.5)
         x1 = x
-        xs = np.empty(n_steps)
-        comb = 0.0
+        traj = np.empty(n_steps)
+        sq_x = 0.0
+        comb = np.zeros(count)
         wt = 1.0
         for i in range(n_steps):
-            xs[i] = x
-            pow_acc += x * x
-            y = x + z[i]
+            traj[i] = x[0]
+            sq_x += x @ x
+            y = x + z[:, i]
             comb += wt * y
             wt /= beta
             x = beta * (x - a * y)
-        if traj is None:
-            traj = xs
-        xhat1 = a * comb
-        merr = (x1 - xhat1) / scale
-        sq += merr * merr
+        merr = (x1 - a * comb) / scale
+        return float(merr @ merr), float(sq_x), traj
+
+    parts = map_chunks(run_chunk, trials)
+    sq = sum(part[0] for part in parts)
+    pow_acc = sum(part[1] for part in parts)
     mse = sq / trials
     rel = mse / (1.0 / 12.0)
     return SkSimReport(
@@ -364,7 +369,8 @@ def sk_recursion_simulate(power, n_steps, seed, trials=10000, noise_var=1.0):
         mse=mse, relative_mse=rel,
         exponent=-math.log2(rel) / (2.0 * n_steps),
         empirical_power=pow_acc / (trials * n_steps),
-        x_trajectory=traj)
+        x_trajectory=parts[0][2],
+        precision_limited=precision_limited(n_steps, beta))
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,17 @@ def test_simulate_threads_env_invariant(capsys, monkeypatch):
     assert base["per_sender_mse"] == threaded["per_sender_mse"]
 
 
+def test_simulate_payload_flags_precision_floor(capsys):
+    args = ("simulate", "--n", "3", "--power", "2", "--trials", "64",
+            "--seed", "1", "--steps")
+    short = envelope(capsys, *args, "50")["payload"]
+    long = envelope(capsys, *args, "150")["payload"]
+    assert short["precision_limited"] is False
+    assert long["precision_limited"] is True
+    assert short["rng_algorithm"] == \
+        "philox4x64 keyed by (seed, 1024-trial chunk)"
+
+
 def test_simulate_csv(capsys):
     code, out = run_main(capsys, "simulate", "--n", "2", "--power", "1",
                          "--steps", "5", "--csv")

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import BETA_2_1, PHI, SUMCAP_BITS
-from feedcap.mac_code import (MESSAGE_VAR, asymptotic_powers, beta_for_power,
-                              build_system, closed_loop, closed_loop_radius,
-                              decode, encode_step, exact_mse,
+from feedcap.mac_code import (CENTER, MESSAGE_VAR, asymptotic_powers,
+                              beta_for_power, build_system, closed_loop,
+                              closed_loop_radius, decode, encode_step,
+                              exact_mse,
                               exact_step_table, exact_trajectory_stats,
                               kramer_innovation_step, lqg_controller,
                               mutual_info_identity_check, simulate,
                               stationary_posterior_variances)
+from feedcap.montecarlo import CHUNK, RNG_ALGORITHM, chunk_draws
 from feedcap.riccati import dare_circulant
 
 
@@ -160,6 +162,49 @@ def test_simulate_reproducible_and_thread_invariant():
     assert np.array_equal(a.empirical_powers, b.empirical_powers)
     c = simulate(sys, ctrl, 10, 2500, seed=43)
     assert not np.array_equal(a.per_sender_mse, c.per_sender_mse)
+
+
+def _reference_simulate(sys, ctrl, n_steps, trials, seed):
+    """One trial at a time through encode_step and decode, on the same
+    chunk draws simulate() uses."""
+    sq_err = np.zeros(sys.n)
+    power = np.zeros(sys.n)
+    for chunk, lo in enumerate(range(0, trials, CHUNK)):
+        count = min(CHUNK, trials - lo)
+        u, z = chunk_draws(seed, chunk, (count, sys.n, 2), (count, n_steps, 2),
+                           math.sqrt(0.5))
+        for t in range(count):
+            msg = u[t, :, 0] + 1j * u[t, :, 1] - CENTER
+            state, y_prev, y_hist = msg, 0j, []
+            for i in range(n_steps):
+                state, symbols, chan = encode_step(sys, ctrl, state, y_prev)
+                power += np.abs(symbols) ** 2
+                y_prev = chan + complex(z[t, i, 0], z[t, i, 1])
+                y_hist.append(y_prev)
+            sq_err += np.abs(msg - decode(sys, y_hist)) ** 2
+    return sq_err / trials, power / (trials * n_steps)
+
+
+def test_simulate_matches_per_trial_reference():
+    # one full chunk and one partial chunk
+    sys, ctrl = _system(3, 2.0)
+    reports = [simulate(sys, ctrl, 8, 1100, seed=9, threads=t)
+               for t in (1, 2, 4)]
+    for rep in reports[1:]:
+        assert np.array_equal(rep.per_sender_mse, reports[0].per_sender_mse)
+        assert np.array_equal(rep.empirical_powers,
+                              reports[0].empirical_powers)
+    mse, power = _reference_simulate(sys, ctrl, 8, 1100, seed=9)
+    assert np.allclose(reports[0].per_sender_mse, mse, rtol=1e-12, atol=0)
+    assert np.allclose(reports[0].empirical_powers, power, rtol=1e-12, atol=0)
+    assert reports[0].rng_algorithm == RNG_ALGORITHM
+
+
+def test_simulate_flags_decoder_precision_floor():
+    # n log2(beta) is 29.9 bits at 50 steps and 89.8 at 150
+    sys, ctrl = _system(3, 2.0)
+    assert not simulate(sys, ctrl, 50, 64, seed=1).precision_limited
+    assert simulate(sys, ctrl, 150, 64, seed=1).precision_limited
 
 
 def test_simulate_validation():

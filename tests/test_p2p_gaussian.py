@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import HALF_LOG2_2PIE
 from feedcap.errors import SolverError
+from feedcap.montecarlo import CHUNK, RNG_ALGORITHM, chunk_draws
 from feedcap.p2p_gaussian import (Arma1Spectrum, DEFAULT_QUAD, QuadratureSpec,
                                   WHITE, ZpkFilter, bode_integral,
                                   entropy_rate, feedback_transform,
@@ -200,6 +201,44 @@ def test_sk_recursion_simulation():
     assert rep2.mse == rep.mse
     with pytest.raises(ValueError):
         sk_recursion_simulate(-1.0, 10, seed=0)
+
+
+def test_sk_recursion_matches_per_trial_reference():
+    # the scalar recursion one trial at a time on the same chunk draws;
+    # 1100 trials span one full chunk and one partial chunk
+    power, n_steps, trials = 2.0, 8, 1100
+    beta = math.sqrt(1.0 + power)
+    a = (beta * beta - 1.0) / (beta * beta)
+    scale = math.sqrt(12.0 * power)
+    sq = pow_acc = 0.0
+    traj = None
+    for chunk, lo in enumerate(range(0, trials, CHUNK)):
+        count = min(CHUNK, trials - lo)
+        m, z = chunk_draws(4, chunk, (count,), (count, n_steps), 1.0)
+        for t in range(count):
+            x = x1 = scale * (m[t] - 0.5)
+            xs, xhat1 = [], 0.0
+            for i in range(n_steps):
+                xs.append(x)
+                y = x + z[t, i]
+                xhat1 += a * y / beta ** i
+                x = beta * (x - a * y)
+            traj = xs if traj is None else traj
+            pow_acc += sum(v * v for v in xs)
+            sq += ((x1 - xhat1) / scale) ** 2
+    rep = sk_recursion_simulate(power, n_steps, seed=4, trials=trials)
+    assert rep.mse == pytest.approx(sq / trials, rel=1e-12)
+    assert rep.empirical_power == pytest.approx(
+        pow_acc / (trials * n_steps), rel=1e-12)
+    assert np.allclose(rep.x_trajectory, traj, rtol=1e-12, atol=0)
+    assert rep.rng_algorithm == RNG_ALGORITHM
+
+
+def test_sk_flags_decoder_precision_floor():
+    # n log2(beta) is 39.6 bits at 50 steps and 118.9 at 150
+    assert not sk_recursion_simulate(2.0, 50, seed=1, trials=64) \
+        .precision_limited
+    assert sk_recursion_simulate(2.0, 150, seed=1, trials=64).precision_limited
 
 
 def test_sk_relative_mse_tracks_closed_form():

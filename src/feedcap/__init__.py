@@ -10,9 +10,9 @@ from .sum_capacity import (MacParams, PhiSolution, c1, c2,
                            dependence_balance_gap, g_value, gamma_star,
                            gaussian_mutual_info, phi_star, solve_phi,
                            sum_capacity, symmetric_cov)
-from .riccati import (DareSolution, dare_circulant, dare_iterate,
+from .riccati import (DareSolution, MacSystem, dare_circulant, dare_iterate,
                       riclem_verify, symmetric_system)
-from .mac_code import (MacSystem, LinearController, SimReport, ExactStats,
+from .mac_code import (LinearController, SimReport, ExactStats,
                        asymptotic_powers, beta_for_power, build_system,
                        closed_loop, closed_loop_radius, decode, encode_step,
                        exact_mse, exact_trajectory_stats, lqg_controller,
@@ -29,9 +29,9 @@ __all__ = [
     "MacParams", "PhiSolution", "c1", "c2", "solve_phi", "sum_capacity",
     "phi_star", "gamma_star", "g_value", "symmetric_cov",
     "gaussian_mutual_info", "dependence_balance_gap",
-    "DareSolution", "dare_circulant", "dare_iterate", "riclem_verify",
-    "symmetric_system",
-    "MacSystem", "LinearController", "SimReport", "ExactStats",
+    "DareSolution", "MacSystem", "dare_circulant", "dare_iterate",
+    "riclem_verify", "symmetric_system",
+    "LinearController", "SimReport", "ExactStats",
     "build_system", "lqg_controller", "beta_for_power", "closed_loop",
     "closed_loop_radius", "encode_step", "decode", "exact_mse",
     "exact_trajectory_stats", "simulate", "asymptotic_powers",

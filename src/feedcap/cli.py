@@ -84,14 +84,12 @@ def _cmd_sumcap(args, t0):
 # ------------------------------------------------------------------ dare
 
 def _cmd_dare(args, t0):
+    sysm = build_system(args.n, args.beta)
     if args.method == "circulant":
         sol = dare_circulant(args.n, args.beta)
     else:
-        from .riccati import symmetric_system
-        sysab = symmetric_system(args.n, args.beta)
-        sol = dare_iterate(sysab, np.eye(args.n), tol=args.tol)
-    from .riccati import symmetric_system
-    check = riclem_verify(sol, symmetric_system(args.n, args.beta))
+        sol = dare_iterate(sysm, np.eye(args.n), tol=args.tol)
+    check = riclem_verify(sol, sysm)
     payload = {
         "n": args.n, "beta": args.beta, "method": args.method,
         "G": matrix_to_json(sol.G),
@@ -218,9 +216,13 @@ def _cmd_p2p_search(args, t0):
                         convention=args.convention)
     try:
         n_poles, n_gains = (int(v) for v in args.grid.split("x"))
+        # the search always tries both boundary gains; a smaller grid would
+        # be echoed but not searched
+        if n_poles < 1 or n_gains < 2:
+            raise ValueError
     except ValueError:
-        print(f"error: --grid expects POLESxGAINS, got {args.grid!r}",
-              file=sys.stderr)
+        print(f"error: --grid expects POLESxGAINS with POLES >= 1 and "
+              f"GAINS >= 2, got {args.grid!r}", file=sys.stderr)
         return 2
     grid = np.linspace(0.0, 0.99, n_poles)
     best = grid_capacity_search(s_z, args.power, pole_grid=grid,
@@ -291,21 +293,19 @@ def _solver_checks(n, power, seed):
     checks.append(("capacity functions cross at phi",
                    sol.residual <= 1e-9, f"|c1-c2|={sol.residual:.3e}"))
     beta = beta_for_power(n, power)
-    from .riccati import symmetric_system
-    sysab = symmetric_system(n, beta)
+    sysm = build_system(n, beta)
     closed = dare_circulant(n, beta)
-    iterated = dare_iterate(sysab, np.eye(n))
+    iterated = dare_iterate(sysm, np.eye(n))
     diff = float(np.linalg.norm(closed.G - iterated.G))
     checks.append(("Riccati closed form matches iteration",
                    diff <= 1e-8, f"|diff|={diff:.3e}"))
-    rc = riclem_verify(closed, sysab)
+    rc = riclem_verify(closed, sysm)
     checks.append(("Riccati sum identities",
                    max(rc.residual_a, rc.residual_b) <= 1e-8,
                    f"a={rc.residual_a:.3e} b={rc.residual_b:.3e}"))
     gd = float(np.max(np.abs(closed.G.diagonal().real - power)))
     checks.append(("Riccati diagonal equals the power budget",
                    gd <= 1e-6, f"max|G_jj-P|={gd:.3e}"))
-    sysm = build_system(n, beta)
     ctrl = lqg_controller(sysm)
     rad = closed_loop_radius(sysm, ctrl)
     checks.append(("closed loop stable", rad < 1.0, f"radius={rad:.6f}"))

@@ -1,6 +1,6 @@
 """Optimal linear feedback code for the N-sender AWGN multiple access
 channel: LQG controller synthesis, exact covariance propagation, Monte
-Carlo simulation, and the innovation-form recursion.
+Carlo simulation, and the mutual-information identity.
 
 The code is built on the symmetric diagonal system A = beta * diag(omega_j)
 with omega_j the n-th roots of unity and B the all-ones column. Each sender
@@ -28,32 +28,13 @@ import numpy as np
 from .errors import SolverError
 from .montecarlo import (RNG_ALGORITHM, check_seed, chunk_draws, map_chunks,
                          precision_limited)
-from .riccati import dale_solve, dare_circulant
+from .matrix_core import spectral_radius
+from .riccati import (MacSystem, dale_solve, dare_circulant,
+                      symmetric_system as build_system)
 from .sum_capacity import MacParams, solve_phi, _LN
 
 CENTER = 0.5 + 0.5j
 MESSAGE_VAR = 1.0 / 6.0           # two uniform(0,1) axes, 1/12 each
-
-
-@dataclass(frozen=True)
-class MacSystem:
-    """Symmetric code system: A = beta * diag(n-th roots of unity), B = ones."""
-    n: int
-    beta: float
-    A: np.ndarray
-    B: np.ndarray
-
-    @property
-    def betas(self):
-        return (self.beta,) * self.n
-
-    @property
-    def phases(self):
-        return tuple(np.exp(2j * np.pi * np.arange(self.n) / self.n))
-
-    @property
-    def a_diag(self):
-        return np.diag(self.A)
 
 
 @dataclass(frozen=True)
@@ -88,18 +69,6 @@ class ExactStats:
     mean_powers: np.ndarray
 
 
-def build_system(n, beta):
-    """Symmetric system with phases at the n-th roots of unity."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not beta > 1.0:
-        raise ValueError("beta must exceed 1 (beta = 1 carries zero rate)")
-    w = np.exp(2j * np.pi * np.arange(n) / n)
-    A = np.diag(beta * w)
-    B = np.ones((n, 1), dtype=complex)
-    return MacSystem(n=n, beta=float(beta), A=A, B=B)
-
-
 def lqg_controller(sys):
     """Stabilizing gains C = (B'GB + 1)^{-1} B'GA from the Riccati solution.
 
@@ -122,7 +91,6 @@ def closed_loop(sys, ctrl):
 
 
 def closed_loop_radius(sys, ctrl):
-    from .matrix_core import spectral_radius
     return spectral_radius(closed_loop(sys, ctrl))
 
 
@@ -173,26 +141,50 @@ def decode(sys, y_history):
     return -(a ** (-n_steps)) * sh
 
 
-def exact_mse(sys, ctrl, n_steps, k0=None):
+def _message_cov(sys):
+    return np.eye(sys.n, dtype=complex) * MESSAGE_VAR
+
+
+def _propagate(F, K, Q, n_steps):
+    """Yield K_i = sym(F K_{i-1} F' + Q) for i = 1..n_steps.
+
+    The symmetrized K is the one carried into the next step, which keeps
+    round-off from accumulating an anti-Hermitian part.
+    """
+    for _ in range(n_steps):
+        K = F @ K @ F.conj().T + Q
+        K = (K + K.conj().T) / 2
+        yield K
+
+
+def _trajectory_covs(sys, ctrl, n_steps, noise_var):
+    """K_1..K_n under simulate()'s timing: step 1 is the open-loop
+    amplification sym(A K_0 A') (Y_0 = 0); noise and feedback enter from
+    step 2 on."""
+    K = sys.A @ _message_cov(sys) @ sys.A.conj().T
+    K = (K + K.conj().T) / 2
+    yield K
+    yield from _propagate(closed_loop(sys, ctrl), K,
+                          noise_var * (sys.B @ sys.B.conj().T), n_steps - 1)
+
+
+def exact_mse(sys, ctrl, n_steps):
     """Per-sender MSE from stationary closed-loop covariance propagation.
 
-    Iterates K_i = (A - BC) K_{i-1} (A - BC)' + BB' from K_0 (default: the
-    uniform-message diagonal, 1/6 per sender) and returns
-    beta^{-2 n_steps} diag(K_n). The recursion applies the stationary loop
-    from the very first step; simulate() has no feedback term at step 1
-    (the first output does not exist yet), a transient difference that
-    decays at the closed-loop spectral radius. exact_trajectory_stats
-    propagates that exact timing instead.
+    Iterates K_i = (A - BC) K_{i-1} (A - BC)' + BB' from the uniform-message
+    diagonal K_0 (1/6 per sender) and returns beta^{-2 n_steps} diag(K_n).
+    The recursion applies the stationary loop from the very first step;
+    simulate() has no feedback term at step 1 (the first output does not
+    exist yet), a transient difference that decays at the closed-loop
+    spectral radius. exact_trajectory_stats propagates that exact timing
+    instead.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    K = np.eye(sys.n, dtype=complex) * MESSAGE_VAR if k0 is None \
-        else np.asarray(k0, dtype=complex).copy()
-    F = closed_loop(sys, ctrl)
-    BBt = (sys.B @ sys.B.conj().T)
-    for _ in range(n_steps):
-        K = F @ K @ F.conj().T + BBt
-        K = (K + K.conj().T) / 2
+    K = _message_cov(sys)
+    for K in _propagate(closed_loop(sys, ctrl), K, sys.B @ sys.B.conj().T,
+                        n_steps):
+        pass
     return sys.beta ** (-2.0 * n_steps) * K.diagonal().real
 
 
@@ -205,17 +197,8 @@ def exact_trajectory_stats(sys, ctrl, n_steps, noise_var=1.0):
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    A = sys.A
-    F = closed_loop(sys, ctrl)
-    BBt = sys.B @ sys.B.conj().T
-    K = np.eye(sys.n, dtype=complex) * MESSAGE_VAR
     diag_sum = np.zeros(sys.n)
-    for i in range(1, n_steps + 1):
-        if i == 1:
-            K = A @ K @ A.conj().T
-        else:
-            K = F @ K @ F.conj().T + noise_var * BBt
-        K = (K + K.conj().T) / 2
+    for K in _trajectory_covs(sys, ctrl, n_steps, noise_var):
         diag_sum += K.diagonal().real
     mse = sys.beta ** (-2.0 * n_steps) * K.diagonal().real
     powers = (np.abs(ctrl.gains) ** 2) * diag_sum / n_steps
@@ -224,7 +207,7 @@ def exact_trajectory_stats(sys, ctrl, n_steps, noise_var=1.0):
                       mean_powers=powers)
 
 
-def exact_step_table(sys, ctrl, n_steps, noise_var=1.0):
+def exact_step_table(sys, ctrl, n_steps):
     """Per-step exact decoding MSE and transmit powers for plotting.
 
     Yields (step, mse_row, power_row) for step = 1..n_steps under the same
@@ -233,17 +216,8 @@ def exact_step_table(sys, ctrl, n_steps, noise_var=1.0):
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    A = sys.A
-    F = closed_loop(sys, ctrl)
-    BBt = sys.B @ sys.B.conj().T
-    K = np.eye(sys.n, dtype=complex) * MESSAGE_VAR
     gains_sq = np.abs(ctrl.gains) ** 2
-    for i in range(1, n_steps + 1):
-        if i == 1:
-            K = A @ K @ A.conj().T
-        else:
-            K = F @ K @ F.conj().T + noise_var * BBt
-        K = (K + K.conj().T) / 2
+    for i, K in enumerate(_trajectory_covs(sys, ctrl, n_steps, 1.0), 1):
         diag = K.diagonal().real
         yield i, sys.beta ** (-2.0 * i) * diag, gains_sq * diag
 
@@ -314,29 +288,6 @@ def asymptotic_powers(sys, ctrl):
     F = closed_loop(sys, ctrl)
     kbar = dale_solve(F, sys.B @ sys.B.conj().T)
     return (np.abs(ctrl.gains) ** 2) * kbar.diagonal().real
-
-
-def kramer_innovation_step(sys, k_state, x_state, y_prev):
-    """One step of the innovation-form code.
-
-    The state transmits its own estimation error scaled by A:
-        X_i = A (X_{i-1} - K B (1 + B'KB)^{-1} Y_{i-1})
-    and the covariance K advances through the Riccati recursion. At the
-    Riccati fixed point the covariance is stationary. For n = 1 this is the
-    classic scalar recursion with coefficient (beta^2 - 1)/beta^2.
-
-    Returns (next_x, next_k).
-    """
-    K = np.asarray(k_state, dtype=complex)
-    x = np.asarray(x_state, dtype=complex)
-    a = sys.a_diag
-    kb = (K @ sys.B).ravel()
-    s = 1.0 + (sys.B.conj().T @ K @ sys.B).real.item()
-    x_next = a * (x - kb / s * y_prev)
-    akb = (a * kb)[:, None]
-    k_next = sys.A @ K @ sys.A.conj().T - (akb @ akb.conj().T) / s
-    k_next = (k_next + k_next.conj().T) / 2
-    return x_next, k_next
 
 
 def stationary_posterior_variances(sys, n_steps):

@@ -1,12 +1,10 @@
 """Dense complex matrix utilities: DFT/circulant construction, spectral
-radius, Frobenius distance, and a JSON wire format.
+radius, and a JSON encoder.
 
 All operations are pure: inputs are validated, never mutated, and results
 are fresh arrays. Matrices are numpy complex128 throughout.
 """
 import numpy as np
-
-HERMITIAN_TOL = 1e-12
 
 
 def as_matrix(m, square=False):
@@ -23,11 +21,6 @@ def as_matrix(m, square=False):
     if square and a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a.copy()
-
-
-def is_hermitian(m, tol=HERMITIAN_TOL):
-    a = as_matrix(m, square=True)
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
 
 
 def dft_matrix(n):
@@ -63,15 +56,6 @@ def spectral_radius(m):
     return float(np.max(np.abs(np.linalg.eigvals(a))))
 
 
-def frobenius_distance(a, b):
-    """Frobenius norm of a - b; zero iff the matrices are equal."""
-    ma = as_matrix(a)
-    mb = as_matrix(b)
-    if ma.shape != mb.shape:
-        raise ValueError(f"shape mismatch: {ma.shape} vs {mb.shape}")
-    return float(np.linalg.norm(ma - mb))
-
-
 def matrix_to_json(m):
     """Serialize a matrix to {rows, cols, re, im} with row-major entries."""
     a = as_matrix(m)
@@ -81,13 +65,3 @@ def matrix_to_json(m):
         "re": a.real.ravel().tolist(),
         "im": a.imag.ravel().tolist(),
     }
-
-
-def matrix_from_json(d):
-    """Inverse of matrix_to_json."""
-    rows, cols = int(d["rows"]), int(d["cols"])
-    re = np.asarray(d["re"], dtype=float)
-    im = np.asarray(d["im"], dtype=float)
-    if re.size != rows * cols or im.size != rows * cols:
-        raise ValueError("entry count does not match rows*cols")
-    return (re + 1j * im).reshape(rows, cols)

@@ -16,54 +16,58 @@ The closed form carries a geometric eigenvalue ladder on the DFT bins:
 Cross-identities (sum rule 1 + B'KB = prod beta_j^2 and its leave-one-out
 variant) are exposed as a verification record.
 """
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SolverError
-from .matrix_core import as_matrix, dft_matrix, spectral_radius
+from .matrix_core import as_matrix, circulant_from_eigs, spectral_radius
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100000
 
 
 @dataclass(frozen=True)
-class SystemAB:
-    """Diagonal system A = diag(beta_j * omega_j) with all-ones input B.
-
-    betas must all exceed 1 (every mode unstable) and the diagonal entries
-    must be pairwise distinct, which is what makes the pair (A, B)
-    detectable: repeated unstable entries cannot be told apart through the
-    scalar output sum.
-    """
+class MacSystem:
+    """Symmetric code system: A = beta * diag(n-th roots of unity), B = ones."""
     n: int
-    betas: tuple
-    phases: tuple
+    beta: float
     A: np.ndarray
     B: np.ndarray
 
+    @property
+    def betas(self):
+        return (self.beta,) * self.n
 
-def make_system(betas, phases):
-    """Build a validated SystemAB from per-sender gains and unit phases."""
-    betas = tuple(float(b) for b in betas)
-    phases = tuple(complex(w) for w in phases)
-    if len(betas) != len(phases) or len(betas) == 0:
-        raise ValueError("betas and phases must be non-empty, equal length")
-    n = len(betas)
-    if any(b <= 1.0 for b in betas):
-        raise ValueError("every beta must exceed 1")
-    if any(abs(abs(w) - 1.0) > 1e-12 for w in phases):
-        raise ValueError("phases must lie on the unit circle")
-    diag = np.array([b * w for b, w in zip(betas, phases)])
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(diag[i] - diag[j]) <= 1e-12:
-                raise ValueError(
-                    f"diagonal entries {i} and {j} coincide; the system is "
-                    "not detectable through the scalar output")
-    A = np.diag(diag)
+    @property
+    def phases(self):
+        return tuple(np.exp(2j * np.pi * np.arange(self.n) / self.n))
+
+    @property
+    def a_diag(self):
+        return np.diag(self.A)
+
+
+def symmetric_system(n, beta):
+    """Symmetric system with equal gains beta and phases at the n-th roots
+    of unity.
+
+    The diagonal entries are distinct, so (A, B) is detectable through the
+    scalar output sum. beta must exceed 1 (beta = 1 carries zero rate), and
+    beta^{2n}, the top of the Riccati eigenvalue ladder, must be a finite
+    float64; NaN and Inf fail both conditions.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got n={n}")
+    if not (beta > 1.0 and 2 * n * math.log2(beta) < 1024):
+        raise ValueError(
+            "beta must exceed 1 (beta = 1 carries zero rate) and beta^(2n) "
+            f"must be finite in float64; got n={n}, beta={beta}")
+    w = np.exp(2j * np.pi * np.arange(n) / n)
+    A = np.diag(beta * w)
     B = np.ones((n, 1), dtype=complex)
-    return SystemAB(n=n, betas=betas, phases=phases, A=A, B=B)
+    return MacSystem(n=n, beta=float(beta), A=A, B=B)
 
 
 @dataclass(frozen=True)
@@ -107,7 +111,7 @@ def dare_iterate(sys, k0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     therefore lifted to k0 + I, which has no effect on the limit.
 
     Args:
-        sys: SystemAB (or any object with fields A, B, n, betas).
+        sys: MacSystem (or any object with fields A, B, n).
         k0: Hermitian positive-semidefinite start.
         tol: convergence threshold on the Riccati residual.
         max_iter: iteration cap.
@@ -147,24 +151,12 @@ def dare_circulant(n, beta):
     geometric ladder lambda_k = lambda_1 / beta^{2k}, lambda_1 =
     (beta^{2n} - 1)/n. Every row sum equals lambda_1, so K B = lambda_1 B.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if beta <= 1.0:
-        raise ValueError("beta must exceed 1")
-    q = dft_matrix(n)
-    lam1 = (beta ** (2 * n) - 1.0) / n
-    lam = lam1 * beta ** (-2.0 * np.arange(n))
-    G = q @ np.diag(lam) @ q.conj().T
-    G = (G + G.conj().T) / 2
     sys = symmetric_system(n, beta)
+    lam1 = (beta ** (2 * n) - 1.0) / n
+    G = circulant_from_eigs(lam1 * beta ** (-2.0 * np.arange(n)))
+    G = (G + G.conj().T) / 2
     return DareSolution(G=G, iterations=0,
                         residual=riccati_residual(G, sys.A, sys.B))
-
-
-def symmetric_system(n, beta):
-    """SystemAB with equal gains and phases at the n-th roots of unity."""
-    phases = np.exp(2j * np.pi * np.arange(n) / n)
-    return make_system([beta] * n, phases)
 
 
 def dale_solve(f, q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):

@@ -1,0 +1,81 @@
+"""The names and parameters the benchmark harness binds in the library.
+
+perfbench/tracing.py rebinds every function in TRACED and reads hooked
+arguments by name; perfbench/workloads.py calls library names through the
+layer map in perfbench/run.py. A rename there breaks only a traced or timed
+benchmark run, so these checks keep the contract in the tier-1 suite. The
+files are parsed, not imported, so reading them runs no benchmark code.
+"""
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _tree(name):
+    return ast.parse((PERFBENCH / name).read_text())
+
+
+def _assigned(tree, name):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name
+                for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{name} not found")
+
+
+def _function(module, fn):
+    return getattr(importlib.import_module(f"feedcap.{module}"), fn)
+
+
+def test_traced_functions_exist():
+    for module, fns in _assigned(_tree("tracing.py"), "TRACED").items():
+        for fn in fns:
+            assert callable(_function(module, fn)), f"{module}.{fn}"
+
+
+def test_hooked_parameters_exist():
+    # a hook `_hook_<module>_<fn>` reads the bound arguments as a["name"]
+    traced = _assigned(_tree("tracing.py"), "TRACED")
+    by_hook = {f"_hook_{m}_{f}": (m, f) for m, fns in traced.items()
+               for f in fns}
+    hooked = set()
+    for node in ast.walk(_tree("tracing.py")):
+        if isinstance(node, ast.FunctionDef) and node.name in by_hook:
+            module, fn = by_hook[node.name]
+            params = inspect.signature(_function(module, fn)).parameters
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Subscript)
+                        and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "a"):
+                    arg = ast.literal_eval(sub.slice)
+                    assert arg in params, f"{module}.{fn}({arg})"
+                    hooked.add(f"{fn}.{arg}")
+    assert {"exact_trajectory_stats.n_steps", "simulate.trials",
+            "simulate.n_steps", "sk_recursion_simulate.trials",
+            "sk_recursion_simulate.n_steps",
+            "periodic_integral.func"} <= hooked
+
+
+def test_workload_calls_exist():
+    layers = _assigned(_tree("run.py"), "LAYERS")
+    used = set()
+    for node in ast.walk(_tree("workloads.py")):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Attribute)
+                and isinstance(node.value.value, ast.Name)
+                and node.value.value.id == "L"):
+            used.add((layers[node.value.attr], node.attr))
+    assert ("riccati", "symmetric_system") in used
+    assert ("mac_code", "build_system") in used
+    for module, name in used:
+        assert hasattr(importlib.import_module(f"feedcap.{module}"), name), \
+            f"{module}.{name}"
+
+
+def test_one_system_constructor():
+    assert _function("mac_code", "build_system") \
+        is _function("riccati", "symmetric_system")

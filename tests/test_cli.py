@@ -51,6 +51,18 @@ def test_dare_methods_agree(capsys):
     assert b["iterations"] > 0
 
 
+@pytest.mark.parametrize("method", ["circulant", "iterate"])
+@pytest.mark.parametrize("beta", ["nan", "inf", "1e200"])
+def test_dare_rejects_bad_beta_before_solving(capsys, monkeypatch, method,
+                                              beta):
+    def no_iteration(*args):
+        raise AssertionError("Riccati map applied to an invalid beta")
+    monkeypatch.setattr("feedcap.riccati._riccati_map", no_iteration)
+    code = main(["dare", "--n", "3", "--beta", beta, "--method", method])
+    assert code == 3
+    assert "beta" in capsys.readouterr().err
+
+
 def test_lqg_payload(capsys):
     pay = envelope(capsys, "lqg", "--n", "3", "--beta", "1.1")["payload"]
     assert pay["spectral_radius"] < 1.0
@@ -129,9 +141,12 @@ def test_p2p_search(capsys):
 
 
 def test_p2p_search_bad_grid(capsys):
-    code, _ = run_main(capsys, "p2p", "search", "--power", "2",
-                       "--grid", "oops")
-    assert code == 2
+    # the search always tries both boundary gains: a grid below 1 pole or
+    # 2 gains would be echoed but not searched
+    for grid in ("oops", "3x0", "3x1", "0x2"):
+        code, _ = run_main(capsys, "p2p", "search", "--power", "2",
+                           "--grid", grid)
+        assert code == 2
 
 
 def test_verify_converse_passes(capsys):

@@ -10,7 +10,7 @@ from feedcap.mac_code import (CENTER, MESSAGE_VAR, asymptotic_powers,
                               closed_loop_radius, decode, encode_step,
                               exact_mse,
                               exact_step_table, exact_trajectory_stats,
-                              kramer_innovation_step, lqg_controller,
+                              lqg_controller,
                               mutual_info_identity_check, simulate,
                               stationary_posterior_variances)
 from feedcap.montecarlo import CHUNK, RNG_ALGORITHM, chunk_draws
@@ -27,6 +27,10 @@ def test_build_system_validation():
         build_system(0, 1.2)
     with pytest.raises(ValueError):
         build_system(2, 1.0)   # beta = 1 carries zero rate
+    # non-finite beta, and beta^{2n} past the float64 range (2^1200 here)
+    for beta in (math.nan, math.inf, 2.0 ** 200):
+        with pytest.raises(ValueError, match=r"n=3, beta="):
+            build_system(3, beta)
 
 
 def test_build_system_closed_forms():
@@ -154,6 +158,60 @@ def test_exact_step_table_consistent_with_stats():
     assert np.allclose(mean_power, stats.mean_powers, rtol=1e-12)
 
 
+def _reference_covs(sys, ctrl, n_steps, noise_var, trajectory):
+    """K_1..K_n by the straight loop: stationary timing applies the closed
+    loop from step 1; trajectory timing makes step 1 the open-loop
+    amplification A K_0 A'."""
+    A = sys.A
+    F = closed_loop(sys, ctrl)
+    BBt = sys.B @ sys.B.conj().T
+    K = np.eye(sys.n, dtype=complex) * MESSAGE_VAR
+    out = []
+    for i in range(1, n_steps + 1):
+        if trajectory and i == 1:
+            K = A @ K @ A.conj().T
+        else:
+            K = F @ K @ F.conj().T + noise_var * BBt
+        K = (K + K.conj().T) / 2
+        out.append(K)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16])
+@pytest.mark.parametrize("n_steps", [1, 2, 50, 300])
+def test_exact_propagation_bitwise_matches_straight_loops(n, n_steps):
+    # the power-1 code; one sender takes the scalar beta = sqrt(1 + P)
+    sys = build_system(n, math.sqrt(2.0) if n == 1 else beta_for_power(n, 1.0))
+    ctrl = lqg_controller(sys)
+    scale = [sys.beta ** (-2.0 * i) for i in range(1, n_steps + 1)]
+    gains_sq = np.abs(ctrl.gains) ** 2
+
+    K = _reference_covs(sys, ctrl, n_steps, 1.0, trajectory=False)[-1]
+    assert np.array_equal(exact_mse(sys, ctrl, n_steps),
+                          scale[-1] * K.diagonal().real)
+
+    for noise_var in (0.0, 1.0):
+        covs = _reference_covs(sys, ctrl, n_steps, noise_var,
+                               trajectory=True)
+        diag_sum = np.zeros(n)
+        for K in covs:
+            diag_sum += K.diagonal().real
+        mse = scale[-1] * covs[-1].diagonal().real
+        stats = exact_trajectory_stats(sys, ctrl, n_steps, noise_var)
+        assert np.array_equal(stats.per_sender_mse, mse)
+        assert np.array_equal(stats.mse_exponents,
+                              -np.log2(mse) / (2.0 * n_steps))
+        assert np.array_equal(stats.mean_powers,
+                              gains_sq * diag_sum / n_steps)
+
+    covs = _reference_covs(sys, ctrl, n_steps, 1.0, trajectory=True)
+    rows = list(exact_step_table(sys, ctrl, n_steps))
+    assert [r[0] for r in rows] == list(range(1, n_steps + 1))
+    for (step, mse_row, power_row), K, s in zip(rows, covs, scale):
+        assert np.array_equal(mse_row, s * K.diagonal().real)
+        assert np.array_equal(power_row, gains_sq * K.diagonal().real)
+
+
 def test_simulate_reproducible_and_thread_invariant():
     sys, ctrl = _system(2, 1.0)
     a = simulate(sys, ctrl, 10, 2500, seed=42)
@@ -255,26 +313,6 @@ def test_exponent_gap_bounded_by_stationary_covariance():
             d = exact_mse(sys, ctrl, n_steps)
             gap = np.abs(-np.log2(d) / (2.0 * n_steps) - math.log2(sys.beta))
             assert np.all(gap <= bound / (2.0 * n_steps) + 1e-9)
-
-
-def test_innovation_step_scalar_recursion():
-    # n = 1 collapses to x' = beta (x - (beta^2-1)/beta^2 y)
-    sys = build_system(1, 1.5)
-    k = np.array([[1.5 ** 2 - 1.0]], dtype=complex)
-    x = np.array([0.7 + 0.2j])
-    y = 0.3 - 0.1j
-    x_next, k_next = kramer_innovation_step(sys, k, x, y)
-    a = (1.5 ** 2 - 1.0) / 1.5 ** 2
-    assert x_next[0] == pytest.approx(1.5 * (x[0] - a * y), rel=1e-12)
-    assert k_next[0, 0].real == pytest.approx(k[0, 0].real, rel=1e-12)
-
-
-def test_innovation_fixed_point_is_stationary():
-    sys, _ = _system(3, 2.0)
-    K = dare_circulant(3, sys.beta).G
-    x = np.zeros(3, dtype=complex)
-    _, k_next = kramer_innovation_step(sys, K, x, 0j)
-    assert np.linalg.norm(k_next - K) <= 1e-9
 
 
 def test_posterior_variances_collapse_geometrically():

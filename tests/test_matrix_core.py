@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from feedcap.matrix_core import (as_matrix, circulant_from_eigs, dft_matrix,
-                                 frobenius_distance, is_hermitian,
-                                 matrix_from_json, matrix_to_json,
-                                 spectral_radius)
+                                 matrix_to_json, spectral_radius)
 
 
 def test_dft_matrix_is_unitary():
@@ -45,11 +43,6 @@ def test_as_matrix_validation():
     assert m.shape == (2, 2)
 
 
-def test_is_hermitian():
-    assert is_hermitian(np.array([[2.0, 1j], [-1j, 3.0]]))
-    assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 def test_spectral_radius_known():
     m = np.diag([0.5, -0.9, 0.2])
     assert spectral_radius(m) == pytest.approx(0.9, abs=1e-14)
@@ -71,10 +64,6 @@ def test_matrix_json_round_trip():
     m = np.array([[1.0 + 2.0j, 0.0], [3.0, -4.0j]])
     d = matrix_to_json(m)
     assert d["rows"] == 2 and d["cols"] == 2
-    back = matrix_from_json(d)
-    assert frobenius_distance(m, back) == 0.0
-
-
-def test_frobenius_distance_shape_mismatch():
-    with pytest.raises(ValueError):
-        frobenius_distance(np.eye(2), np.eye(3))
+    back = (np.asarray(d["re"]) + 1j * np.asarray(d["im"])).reshape(
+        d["rows"], d["cols"])
+    assert np.array_equal(m, back)

@@ -4,19 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from feedcap.errors import SolverError
 from feedcap.riccati import (dale_solve, dare_circulant, dare_iterate,
-                             make_system, riccati_residual, riclem_verify,
+                             riccati_residual, riclem_verify,
                              symmetric_system)
-
-
-def test_make_system_validation():
-    with pytest.raises(ValueError):
-        make_system([], [])
-    with pytest.raises(ValueError):
-        make_system([1.0, 1.2], [1.0, -1.0])       # beta must exceed 1
-    with pytest.raises(ValueError):
-        make_system([1.2, 1.3], [1.0, 2.0])        # phase off the circle
-    with pytest.raises(ValueError):
-        make_system([1.2, 1.2], [1.0, 1.0])        # coincident diagonal
 
 
 def test_symmetric_system_diagonal():
@@ -38,6 +27,13 @@ def test_circulant_solution_structure():
     # constant row sums: G B = lam1 B
     assert np.allclose(G.sum(axis=1), lam1, atol=1e-12)
     assert sol.residual <= 1e-10
+
+
+@pytest.mark.parametrize("beta", [1.0, np.nan, np.inf, 1e200])
+def test_circulant_rejects_bad_beta(beta):
+    # beta^{2n} overflows float64 at beta = 1e200
+    with pytest.raises(ValueError, match="beta"):
+        dare_circulant(3, beta)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

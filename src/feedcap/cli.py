@@ -37,9 +37,9 @@ from .mac_code import (asymptotic_powers, beta_for_power, build_system,
                        closed_loop_radius, decode, encode_step,
                        exact_trajectory_stats, exact_mse, lqg_controller,
                        mutual_info_identity_check, simulate)
-from .p2p_gaussian import (DEFAULT_QUAD, Arma1Spectrum, QuadratureSpec,
-                           WHITE, ZpkFilter, bode_integral, feedback_transform,
-                           grid_capacity_search, instability, power_integral,
+from .p2p_gaussian import (WHITE, Arma1Spectrum, ZpkFilter, bode_integral,
+                           feedback_transform, grid_capacity_search,
+                           instability, power_integral,
                            random_stabilized_filter, rate_integral, sk_filter)
 
 

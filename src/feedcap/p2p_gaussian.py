@@ -15,12 +15,12 @@ eigenvalues via numpy.roots). The core identities exercised here:
     instability = rate integral of log|1+B| = 1/2 log(1+P) with
     feedback power exactly P over white noise.
 
-Integrals are composite Simpson on [-pi, pi] with automatic point doubling
+Integrals are composite Simpson on [-pi, pi] from 4096 points, doubling
 until successive values agree below 1e-8 (Richardson gate), capped at 2^20
 points. Rates default to bits.
 """
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,8 +30,14 @@ from .montecarlo import (RNG_ALGORITHM, check_seed, chunk_draws, map_chunks,
 from .sum_capacity import _LN
 
 UNIT_CIRCLE_TOL = 1e-9
+QUAD_POINTS = 4096
 RICHARDSON_TOL = 1e-8
 MAX_QUAD_POINTS = 2 ** 20
+
+DRAW_POLE_RANGE = (1.05, 2.0)
+DRAW_RADIUS_MARGIN = 0.9
+DRAW_GAINS = np.linspace(-50.0, 50.0, 2001)
+DRAW_GAINS = DRAW_GAINS[DRAW_GAINS != 0.0]
 
 
 @dataclass(frozen=True)
@@ -96,47 +102,29 @@ class Arma1Spectrum:
 WHITE = Arma1Spectrum(alpha=0.0, pole_coef=0.0)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Composite quadrature on [-pi, pi]: rule and starting point count."""
-    points: int = 4096
-    rule: str = "simpson"
-
-    def __post_init__(self):
-        if self.points < 64 or self.points % 2:
-            raise ValueError("points must be an even integer >= 64")
-        if self.rule not in ("simpson", "trapezoid"):
-            raise ValueError("rule must be 'simpson' or 'trapezoid'")
-
-
-DEFAULT_QUAD = QuadratureSpec()
-
-
-def _integrate_once(func, points, rule):
+def _simpson(func, points):
     omega = np.linspace(-np.pi, np.pi, points + 1)
     vals = func(omega)
     if not np.all(np.isfinite(vals)):
         raise SolverError("integrand not finite on the quadrature grid")
     h = omega[1] - omega[0]
-    if rule == "trapezoid":
-        return float(h * (0.5 * (vals[0] + vals[-1]) + vals[1:-1].sum()))
     w = np.ones(points + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return float(h / 3.0 * (w * vals).sum())
 
 
-def periodic_integral(func, quad=DEFAULT_QUAD):
+def periodic_integral(func):
     """(1/2pi) integral of func over [-pi, pi] with the Richardson gate.
 
-    Doubles the point count until two successive values agree below 1e-8;
-    raises if the cap of 2^20 points is reached without agreement.
+    Doubles the Simpson point count from 4096 until two successive values
+    agree below 1e-8; raises if the cap of 2^20 points is reached first.
     """
-    points = quad.points
-    prev = _integrate_once(func, points, quad.rule) / (2 * np.pi)
+    points = QUAD_POINTS
+    prev = _simpson(func, points) / (2 * np.pi)
     while points < MAX_QUAD_POINTS:
         points *= 2
-        cur = _integrate_once(func, points, quad.rule) / (2 * np.pi)
+        cur = _simpson(func, points) / (2 * np.pi)
         if abs(cur - prev) < RICHARDSON_TOL:
             return cur
         prev = cur
@@ -166,30 +154,35 @@ def instability(f, base="bits"):
     return total / _LN[base]
 
 
-def _char_poly(f):
-    # characteristic polynomial of the loop: denominator of 1 - F
+def _loop_poly(f, gain):
+    # characteristic polynomial of the loop, the denominator of 1 - F:
+    # d - gain*n with n right-aligned; gain may be a column of gains
     d = np.poly(f.poles) if f.poles else np.array([1.0 + 0j])
     n = np.poly(f.zeros) if f.zeros else np.array([1.0 + 0j])
-    n = f.gain * n
-    q = d.astype(complex).copy()
-    q[len(q) - len(n):] -= n
-    return d, q
+    q = np.broadcast_to(d.astype(complex), np.broadcast(gain, d).shape).copy()
+    q[..., len(d) - len(n):] -= gain * n
+    return q
+
+
+def _loop_roots(f):
+    """(lead, roots) of the loop polynomial; raises if 1 - F drops degree."""
+    q = _loop_poly(f, f.gain)
+    lead = q[0]
+    if abs(lead) < 1e-12 * max(1.0, np.abs(q).max()):
+        raise SolverError("degenerate loop: 1 - F drops degree "
+                          "(leading coefficient cancels)")
+    return lead, np.roots(q)
 
 
 def feedback_transform(f):
     """Closed-loop filter B = F / (1 - F) in zero-pole-gain form.
 
     Keeps the zeros of F; the poles become the roots of the characteristic
-    polynomial d - gain*n, found as companion-matrix eigenvalues.
+    polynomial d - gain*n.
     """
     if f.gain == 0:
         return ZpkFilter(zeros=(), poles=(), gain=0.0)
-    d, q = _char_poly(f)
-    lead = q[0]
-    if abs(lead) < 1e-12 * max(1.0, np.abs(q).max()):
-        raise SolverError("degenerate loop: 1 - F drops degree "
-                          "(leading coefficient cancels)")
-    poles = np.roots(q)
+    lead, poles = _loop_roots(f)
     return ZpkFilter(zeros=f.zeros, poles=tuple(poles),
                      gain=f.gain / lead)
 
@@ -201,17 +194,16 @@ def _require_stable(b):
                               "outside or on the unit circle")
 
 
-def power_integral(b, s_z=WHITE, quad=DEFAULT_QUAD):
+def power_integral(b, s_z=WHITE):
     """Feedback transmit power (1/2pi) integral of |B|^2 S_Z over [-pi, pi]."""
     _require_stable(b)
     if b.gain == 0:
         return 0.0
     return periodic_integral(
-        lambda om: np.abs(b.response(np.exp(1j * om))) ** 2 * s_z.density(om),
-        quad)
+        lambda om: np.abs(b.response(np.exp(1j * om))) ** 2 * s_z.density(om))
 
 
-def rate_integral(b, quad=DEFAULT_QUAD, base="bits"):
+def rate_integral(b, base="bits"):
     """Achievable rate (1/2pi) integral of 1/2 log|1 + B|^2 over [-pi, pi]."""
     _require_stable(b)
     if b.gain == 0:
@@ -224,20 +216,16 @@ def rate_integral(b, quad=DEFAULT_QUAD, base="bits"):
                               "the rate integrand is singular")
         return np.log(mag) / _LN[base]
 
-    return periodic_integral(integrand, quad)
+    return periodic_integral(integrand)
 
 
-def bode_integral(f, quad=DEFAULT_QUAD, base="bits"):
+def bode_integral(f, base="bits"):
     """Sensitivity integral (1/2pi) integral of log|1/(1-F)| over [-pi, pi].
 
     Requires the closed loop to be stable (all characteristic roots inside
     the unit circle); equals instability(f) up to quadrature error.
     """
-    d, q = _char_poly(f)
-    lead = q[0]
-    if abs(lead) < 1e-12 * max(1.0, np.abs(q).max()):
-        raise SolverError("degenerate loop: 1 - F drops degree")
-    roots = np.roots(q)
+    lead, roots = _loop_roots(f)
     for r in roots:
         if abs(r) >= 1.0:
             raise SolverError(f"closed loop unstable: characteristic root at "
@@ -253,39 +241,39 @@ def bode_integral(f, quad=DEFAULT_QUAD, base="bits"):
             den = den * np.abs(z - r)
         return np.log(num / den) / _LN[base]
 
-    return periodic_integral(integrand, quad)
+    return periodic_integral(integrand)
 
 
-def random_stabilized_filter(rng, n_unstable=None, pole_range=(1.05, 2.0),
-                             radius_margin=0.9, gain_grid=None):
+def random_stabilized_filter(rng):
     """Draw a random open loop with unstable poles that 1/(1-F) stabilizes.
 
-    Picks 1-3 real poles in pole_range, n-1 real zeros inside the unit
-    disk, then scans a gain grid for a value placing every closed-loop
-    characteristic root below radius_margin. A static gain cannot stabilize
-    two or more such poles, hence the zeros. Retries with fresh draws and
-    raises only if many consecutive draws fail.
+    Picks k = 1-3 real poles in [1.05, 2) and k-1 real zeros in [-0.8, 0.8),
+    then scans the gains linspace(-50, 50, 2001) without 0, in order, for
+    the first that places every closed-loop characteristic root below 0.9
+    in modulus. A static gain cannot stabilize two or more such poles, hence
+    the zeros. Retries with fresh draws and raises only if 50 consecutive
+    draws fail.
     """
-    if gain_grid is None:
-        gain_grid = np.linspace(-50.0, 50.0, 2001)
     for _attempt in range(50):
-        k = int(n_unstable) if n_unstable else int(rng.integers(1, 4))
-        poles = tuple(rng.uniform(pole_range[0], pole_range[1], size=k))
-        zeros = tuple(rng.uniform(-0.8, 0.8, size=k - 1))
-        for g in gain_grid:
-            if g == 0.0:
-                continue
-            cand = ZpkFilter(zeros=zeros, poles=poles, gain=float(g))
-            _d, q = _char_poly(cand)
-            if abs(q[0]) < 1e-12:
-                continue
-            roots = np.roots(q)
-            if np.max(np.abs(roots)) < radius_margin:
-                return cand
+        k = int(rng.integers(1, 4))
+        poles = rng.uniform(*DRAW_POLE_RANGE, size=k)
+        zeros = rng.uniform(-0.8, 0.8, size=k - 1)
+        f = ZpkFilter(zeros=zeros, poles=poles, gain=1.0)
+        # k - 1 zeros against k poles keep every lead at 1, so these are the
+        # companion matrices numpy.roots builds, one per gain (barring a
+        # constant term of exactly 0, which numpy.roots would strip)
+        q = _loop_poly(f, DRAW_GAINS[:, None].astype(complex))
+        comp = np.zeros((len(q), k, k), dtype=complex)
+        comp[:, np.arange(1, k), np.arange(k - 1)] = 1.0
+        comp[:, 0, :] = -q[:, 1:] / q[:, :1]
+        radius = np.abs(np.linalg.eigvals(comp)).max(axis=1)
+        hit = np.flatnonzero(radius < DRAW_RADIUS_MARGIN)
+        if hit.size:
+            return replace(f, gain=float(DRAW_GAINS[hit[0]]))
     raise SolverError("no stabilizing gain found after 50 random draws")
 
 
-def entropy_rate(s_z, quad=DEFAULT_QUAD, base="bits"):
+def entropy_rate(s_z, base="bits"):
     """Entropy rate of the stationary Gaussian source with spectrum S_Z.
 
     (1/2pi) integral of 1/2 log(2 pi e S_Z); a unit white spectrum gives
@@ -298,7 +286,7 @@ def entropy_rate(s_z, quad=DEFAULT_QUAD, base="bits"):
             raise SolverError("spectrum must be positive on the grid")
         return 0.5 * np.log(2.0 * np.pi * np.e * s) / _LN[base]
 
-    return periodic_integral(integrand, quad)
+    return periodic_integral(integrand)
 
 
 @dataclass(frozen=True)
@@ -382,20 +370,24 @@ class SearchResult:
 
 
 def grid_capacity_search(s_z, power, pole_grid=None, gains_per_pole=2,
-                         quad=DEFAULT_QUAD, base="bits"):
+                         base="bits"):
     """Search one-real-pole feedback filters B(z) = g / (z - p) for rate.
 
     For each stable pole candidate the power integral scales as g^2, so the
     admissible gain magnitude is pinned by the power budget; candidates are
-    both signs at that boundary plus, when gains_per_pole > 2, interior
-    points (all feasible by construction). The best rate_integral wins.
-    Candidates whose rate integrand is near-singular are skipped.
+    both signs at that boundary plus gains_per_pole - 2 interior points
+    (all feasible by construction), so gains_per_pole must be >= 2. The
+    best rate_integral wins. Candidates whose rate integrand is
+    near-singular are skipped.
 
     Over white noise the optimum is p = 1/sqrt(1+P) with rate
     1/2 log2(1+P); grid resolution bounds the achieved gap.
     """
     if power <= 0.0:
         raise ValueError("power must be positive")
+    if gains_per_pole < 2:
+        raise ValueError("gains_per_pole must be >= 2: both boundary gains "
+                         f"are always searched, got {gains_per_pole}")
     if pole_grid is None:
         pole_grid = np.linspace(0.0, 0.99, 100)
     best = None
@@ -403,19 +395,16 @@ def grid_capacity_search(s_z, power, pole_grid=None, gains_per_pole=2,
         if abs(p) >= 1.0 - UNIT_CIRCLE_TOL:
             continue
         unit = ZpkFilter(zeros=(), poles=(p,), gain=1.0)
-        u = power_integral(unit, s_z, quad)
+        u = power_integral(unit, s_z)
         if u <= 0.0:
             continue
         g_max = math.sqrt(power / u)
-        if gains_per_pole <= 2:
-            gains = [-g_max, g_max]
-        else:
-            inner = np.linspace(-g_max, g_max, gains_per_pole - 2)
-            gains = [-g_max, g_max] + [g for g in inner if g != 0.0]
+        inner = np.linspace(-g_max, g_max, gains_per_pole - 2)
+        gains = [-g_max, g_max] + [g for g in inner if g != 0.0]
         for g in gains:
             cand = ZpkFilter(zeros=(), poles=(p,), gain=g)
             try:
-                r = rate_integral(cand, quad, base)
+                r = rate_integral(cand, base)
             except SolverError:
                 continue
             if best is None or r > best.rate:

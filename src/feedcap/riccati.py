@@ -141,7 +141,7 @@ def dare_iterate(sys, k0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
                                 residual=riccati_residual(K, A, B))
     raise SolverError(
         f"Riccati iteration did not converge in {max_iter} steps "
-        f"(last residual {last:.3e})")
+        f"(n={sys.n}, last residual {last:.3e})")
 
 
 def dare_circulant(n, beta):
@@ -177,7 +177,8 @@ def dale_solve(f, q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         if np.linalg.norm(K_next - K) <= tol:
             return K_next
         K = K_next
-    raise SolverError(f"Lyapunov iteration did not converge in {max_iter} steps")
+    raise SolverError(f"Lyapunov iteration did not converge in {max_iter} "
+                      f"steps (size {len(f)}, spectral radius {rad:.6f})")
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,30 @@ def test_workload_calls_exist():
             f"{module}.{name}"
 
 
+def test_workload_call_arguments_bind():
+    # every L.<layer>.<name>(...) call binds to the library signature, so a
+    # dropped or renamed keyword fails here, not only in a benchmark run
+    layers = _assigned(_tree("run.py"), "LAYERS")
+    keywords = set()
+    for node in ast.walk(_tree("workloads.py")):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Attribute)
+                and isinstance(node.func.value.value, ast.Name)
+                and node.func.value.value.id == "L"):
+            continue
+        module, name = layers[node.func.value.attr], node.func.attr
+        sig = inspect.signature(_function(module, name))
+        try:
+            sig.bind_partial(*node.args,
+                             **{k.arg: k.value for k in node.keywords})
+        except TypeError as err:
+            raise AssertionError(f"{module}.{name}: {err}") from None
+        keywords |= {f"{name}.{k.arg}" for k in node.keywords}
+    assert {"grid_capacity_search.pole_grid",
+            "grid_capacity_search.gains_per_pole"} <= keywords
+
+
 def test_one_system_constructor():
     assert _function("mac_code", "build_system") \
         is _function("riccati", "symmetric_system")

@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 from conftest import HALF_LOG2_2PIE
 from feedcap.errors import SolverError
 from feedcap.montecarlo import CHUNK, RNG_ALGORITHM, chunk_draws
-from feedcap.p2p_gaussian import (Arma1Spectrum, DEFAULT_QUAD, QuadratureSpec,
-                                  WHITE, ZpkFilter, bode_integral,
-                                  entropy_rate, feedback_transform,
-                                  grid_capacity_search, instability,
-                                  periodic_integral, power_integral,
-                                  random_stabilized_filter, rate_integral,
-                                  sk_filter, sk_recursion_simulate)
+from feedcap.p2p_gaussian import (Arma1Spectrum, WHITE, ZpkFilter,
+                                  bode_integral, entropy_rate,
+                                  feedback_transform, grid_capacity_search,
+                                  instability, periodic_integral,
+                                  power_integral, random_stabilized_filter,
+                                  rate_integral, sk_filter,
+                                  sk_recursion_simulate)
 
 
 def test_zpk_validation():
@@ -43,25 +43,11 @@ def test_spectrum_conventions():
         Arma1Spectrum(alpha=0.0, pole_coef=1.0)
 
 
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(points=63)
-    with pytest.raises(ValueError):
-        QuadratureSpec(points=100, rule="gauss")
-    assert DEFAULT_QUAD.points == 4096
-
-
 def test_periodic_integral_basics():
     assert periodic_integral(lambda om: np.ones_like(om)) == pytest.approx(1.0)
     assert periodic_integral(np.cos) == pytest.approx(0.0, abs=1e-12)
     assert periodic_integral(
         lambda om: np.cos(om) ** 2) == pytest.approx(0.5, abs=1e-10)
-
-
-def test_periodic_integral_trapezoid_rule():
-    quad = QuadratureSpec(points=512, rule="trapezoid")
-    assert periodic_integral(lambda om: np.cos(om) ** 2,
-                             quad) == pytest.approx(0.5, abs=1e-10)
 
 
 def test_sk_filter_chain_single_power():
@@ -116,6 +102,17 @@ def test_feedback_transform_zero_gain():
     assert rate_integral(b) == 0.0
 
 
+def test_degenerate_loop_same_error_everywhere():
+    # d - gain*n = (z - 1.5) - (z - 0.5) = -1: the loop drops degree
+    f = ZpkFilter(zeros=(0.5,), poles=(1.5,), gain=1.0)
+    messages = []
+    for fn in (feedback_transform, bode_integral):
+        with pytest.raises(SolverError, match="drops degree") as err:
+            fn(f)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
 def test_bode_requires_closed_loop_stability():
     # tiny gain cannot pull the unstable pole inside the circle
     f = ZpkFilter(zeros=(), poles=(1.4,), gain=1e-6)
@@ -167,6 +164,36 @@ def test_random_stabilized_filter_properties():
         assert instability(f) > 0.0
         b = feedback_transform(f)
         assert max(abs(p) for p in b.poles) < 0.9
+
+
+def _reference_filter_draw(rng):
+    # the per-gain loop: one ZpkFilter and one numpy.roots call per gain
+    for _attempt in range(50):
+        k = int(rng.integers(1, 4))
+        poles = tuple(rng.uniform(1.05, 2.0, size=k))
+        zeros = tuple(rng.uniform(-0.8, 0.8, size=k - 1))
+        for g in np.linspace(-50.0, 50.0, 2001):
+            if g == 0.0:
+                continue
+            cand = ZpkFilter(zeros=zeros, poles=poles, gain=float(g))
+            d = np.poly(cand.poles) if cand.poles else np.array([1.0 + 0j])
+            n = np.poly(cand.zeros) if cand.zeros else np.array([1.0 + 0j])
+            q = d.astype(complex)
+            q[len(q) - len(n):] -= cand.gain * n
+            if abs(q[0]) < 1e-12:
+                continue
+            if np.max(np.abs(np.roots(q))) < 0.9:
+                return cand
+    raise AssertionError("reference draw found no gain")
+
+
+@pytest.mark.parametrize("seed, draws", [(17, 2), (8, 1), (1, 1), (0, 1)])
+def test_random_filter_matches_per_gain_loop(seed, draws):
+    # seeds the acceptance suite, verify and the benchmark draw from
+    ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(draws):
+        assert random_stabilized_filter(ours) == _reference_filter_draw(ref)
+        assert ours.bit_generator.state == ref.bit_generator.state
 
 
 def test_entropy_rate_white():
@@ -283,6 +310,13 @@ def test_grid_search_colored_noise_runs():
     assert best.rate == pytest.approx(0.6401308460397498, rel=1e-6)
     with pytest.raises(ValueError):
         grid_capacity_search(s, 0.0)
+
+
+@pytest.mark.parametrize("gains", [0, 1])
+def test_grid_search_rejects_fewer_than_two_gains(gains):
+    with pytest.raises(ValueError, match="gains_per_pole"):
+        grid_capacity_search(WHITE, 1.0, pole_grid=[0.5],
+                             gains_per_pole=gains)
 
 
 def test_grid_search_moving_average_regression():

@@ -121,3 +121,10 @@ def test_dale_matches_direct_sum():
     q = q0 @ q0.T
     k = dale_solve(f, q)
     assert np.linalg.norm(k - (f @ k @ f.conj().T + q)) <= 1e-9
+
+
+def test_solver_errors_name_size_and_loop():
+    with pytest.raises(SolverError, match=r"size 2, spectral radius 0\.5"):
+        dale_solve(0.5 * np.eye(2), np.eye(2), max_iter=3)
+    with pytest.raises(SolverError, match=r"n=3"):
+        dare_iterate(symmetric_system(3, 1.2), np.eye(3), max_iter=3)

@@ -29,8 +29,8 @@ from .errors import SolverError
 from .montecarlo import (RNG_ALGORITHM, check_seed, chunk_draws, map_chunks,
                          precision_limited)
 from .matrix_core import spectral_radius
-from .riccati import (MacSystem, dale_solve, dare_circulant,
-                      symmetric_system as build_system)
+from .riccati import (MacSystem, _trajectory_sums, dale_solve,
+                      dare_circulant, symmetric_system as build_system)
 from .sum_capacity import MacParams, solve_phi, _LN
 
 CENTER = 0.5 + 0.5j
@@ -157,15 +157,19 @@ def _propagate(F, K, Q, n_steps):
         yield K
 
 
-def _trajectory_covs(sys, ctrl, n_steps, noise_var):
-    """K_1..K_n under simulate()'s timing: step 1 is the open-loop
-    amplification sym(A K_0 A') (Y_0 = 0); noise and feedback enter from
-    step 2 on."""
+def _first_cov(sys):
+    """K_1 under simulate()'s timing: step 1 is the open-loop amplification
+    sym(A K_0 A') (Y_0 = 0); noise and feedback enter from step 2 on."""
     K = sys.A @ _message_cov(sys) @ sys.A.conj().T
-    K = (K + K.conj().T) / 2
+    return (K + K.conj().T) / 2
+
+
+def _trajectory_covs(sys, ctrl, n_steps):
+    """K_1..K_n under simulate()'s timing, one step at a time."""
+    K = _first_cov(sys)
     yield K
-    yield from _propagate(closed_loop(sys, ctrl), K,
-                          noise_var * (sys.B @ sys.B.conj().T), n_steps - 1)
+    yield from _propagate(closed_loop(sys, ctrl), K, sys.B @ sys.B.conj().T,
+                          n_steps - 1)
 
 
 def exact_mse(sys, ctrl, n_steps):
@@ -191,20 +195,25 @@ def exact_mse(sys, ctrl, n_steps):
 def exact_trajectory_stats(sys, ctrl, n_steps, noise_var=1.0):
     """Exact covariances under the same timing simulate() uses.
 
-    Step 1 is pure state amplification (Y_0 = 0); noise and feedback enter
-    from step 2 on. Returns the per-sender MSE at n_steps, its exponents,
-    and the per-sender powers averaged over steps 1..n_steps.
+    Step 1 is pure state amplification K_1 = sym(A K_0 A') (Y_0 = 0); noise
+    and feedback enter from step 2 on. K_n and the sum K_1 + ... + K_n come
+    from square-and-multiply doubling of the closed loop, O(N^3 log n).
+    Returns the per-sender MSE beta^{-2n} (K_n)_jj, its exponents
+    log2(beta) - log2((K_n)_jj)/(2n) (taken in the log domain, so they stay
+    finite after the MSE itself underflows), and the per-sender powers
+    averaged over steps 1..n_steps.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    diag_sum = np.zeros(sys.n)
-    for K in _trajectory_covs(sys, ctrl, n_steps, noise_var):
-        diag_sum += K.diagonal().real
-    mse = sys.beta ** (-2.0 * n_steps) * K.diagonal().real
-    powers = (np.abs(ctrl.gains) ** 2) * diag_sum / n_steps
-    return ExactStats(per_sender_mse=mse,
-                      mse_exponents=-np.log2(mse) / (2.0 * n_steps),
-                      mean_powers=powers)
+    K, K_sum = _trajectory_sums(closed_loop(sys, ctrl),
+                                noise_var * (sys.B @ sys.B.conj().T),
+                                _first_cov(sys), n_steps)
+    k_diag = K.diagonal().real
+    powers = (np.abs(ctrl.gains) ** 2) * K_sum.diagonal().real / n_steps
+    return ExactStats(
+        per_sender_mse=sys.beta ** (-2.0 * n_steps) * k_diag,
+        mse_exponents=math.log2(sys.beta) - np.log2(k_diag) / (2.0 * n_steps),
+        mean_powers=powers)
 
 
 def exact_step_table(sys, ctrl, n_steps):
@@ -217,7 +226,7 @@ def exact_step_table(sys, ctrl, n_steps):
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     gains_sq = np.abs(ctrl.gains) ** 2
-    for i, K in enumerate(_trajectory_covs(sys, ctrl, n_steps, 1.0), 1):
+    for i, K in enumerate(_trajectory_covs(sys, ctrl, n_steps), 1):
         diag = K.diagonal().real
         yield i, sys.beta ** (-2.0 * i) * diag, gains_sq * diag
 

@@ -15,6 +15,10 @@ The closed form carries a geometric eigenvalue ladder on the DFT bins:
 
 Cross-identities (sum rule 1 + B'KB = prod beta_j^2 and its leave-one-out
 variant) are exposed as a verification record.
+
+The linear recursion T(X) = F X F' + Q of the closed loop is never stepped
+here: one doubling kernel serves both the stationary Lyapunov solution and
+the exact covariances at a horizon, in O(N^3) per doubling.
 """
 import math
 from dataclasses import dataclass
@@ -26,6 +30,9 @@ from .matrix_core import as_matrix, circulant_from_eigs, spectral_radius
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100000
+# Lyapunov doubling: stop once a doubling adds less than this share of K
+DOUBLING_RTOL = 1e-15
+DALE_MAX_DOUBLINGS = 64
 
 
 @dataclass(frozen=True)
@@ -150,35 +157,99 @@ def dare_circulant(n, beta):
     The solution is Q diag(lambda) Q' with Q the n-point DFT matrix and the
     geometric ladder lambda_k = lambda_1 / beta^{2k}, lambda_1 =
     (beta^{2n} - 1)/n. Every row sum equals lambda_1, so K B = lambda_1 B.
+
+    Raises:
+        SolverError: if G or its Riccati residual overflows float64.
     """
     sys = symmetric_system(n, beta)
     lam1 = (beta ** (2 * n) - 1.0) / n
-    G = circulant_from_eigs(lam1 * beta ** (-2.0 * np.arange(n)))
-    G = (G + G.conj().T) / 2
-    return DareSolution(G=G, iterations=0,
-                        residual=riccati_residual(G, sys.A, sys.B))
+    # the constructor bounds beta^{2n}; G and its residual need more
+    # headroom (about beta^{2n+2}), so overflow is caught here instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = circulant_from_eigs(lam1 * beta ** (-2.0 * np.arange(n)))
+        G = (G + G.conj().T) / 2
+        residual = riccati_residual(G, sys.A, sys.B)
+    if not (np.all(np.isfinite(G)) and math.isfinite(residual)):
+        raise SolverError(
+            "Riccati closed form overflows float64: G or its residual is "
+            f"not finite (n={n}, beta={beta})")
+    return DareSolution(G=G, iterations=0, residual=residual)
 
 
-def dale_solve(f, q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
-    """Solve the discrete Lyapunov equation K = f K f' + q by iteration.
+def _congruence(p, x):
+    """sym(p x p'): the congruence, symmetrized so round-off cannot build
+    up an anti-Hermitian part."""
+    y = p @ x @ p.conj().T
+    return (y + y.conj().T) / 2
 
-    Requires spectral_radius(f) < 1; convergence is then geometric.
+
+def _doublings(f, q, x0=None):
+    """Square-and-accumulate doubling of T(X) = f X f' + q.
+
+    Yields (m, P, S, U, dS) for runs of m = 1, 2, 4, ... steps, where
+    P = f^m, S = T^m(0) = sum_{t<m} f^t q f'^t, dS is the term the last
+    doubling added to S (q itself at m = 1) and, when a start x0 is given,
+    U = sum_{t<m} T^t(x0) (None otherwise). A doubling costs O(N^3):
+
+        S_2m = S_m + P_m S_m P_m',   U_2m = U_m + P_m U_m P_m' + m S_m,
+        P_2m = P_m P_m.
+
+    A run of m steps maps X to S_m + P_m X P_m', so runs compose without
+    stepping: T^m(X) = S_m + P_m X P_m'.
+    """
+    m, P, S, U, dS = 1, f, q, x0, q
+    while True:
+        yield m, P, S, U, dS
+        dS = _congruence(P, S)
+        if U is not None:
+            U = U + _congruence(P, U) + m * S
+        S = S + dS
+        P = P @ P
+        m *= 2
+
+
+def _trajectory_sums(f, q, x0, n_steps):
+    """(K_n, K_1 + ... + K_n) for K_1 = x0 and K_i = f K_{i-1} f' + q, in
+    O(N^3 log n): square-and-multiply over the bits of n - 1.
+
+    The accumulated run of m steps holds V = T^m(x0) and U = sum_{t<m}
+    T^t(x0); a doubled run of M steps is applied on top of it as
+    V <- S_M + P_M V P_M' and U <- U_M + P_M U P_M' + m S_M.
+    """
+    m, V, U = 0, x0, np.zeros_like(x0)
+    rest = n_steps - 1
+    for M, P, S, U_M, _ in _doublings(f, q, x0):
+        if rest & 1:
+            V, U = S + _congruence(P, V), U_M + _congruence(P, U) + m * S
+            m += M
+        rest >>= 1
+        if not rest:
+            return V, U + V
+
+
+def dale_solve(f, q, max_iter=DALE_MAX_DOUBLINGS):
+    """Solve the discrete Lyapunov equation K = f K f' + q by squared-Smith
+    doubling.
+
+    K = sum_t f^t q f'^t; each doubling squares f and adds the next block
+    of terms, so 2^k terms cost k doublings. Stops once a doubling adds
+    less than DOUBLING_RTOL of K (Frobenius norms). Requires
+    spectral_radius(f) < 1; max_iter caps the number of doublings.
     """
     f = as_matrix(f, square=True)
     q, _ = _check_psd_hermitian(q)
     rad = spectral_radius(f)
     if rad >= 1.0:
-        raise SolverError(f"Lyapunov iteration requires a stable f; "
+        raise SolverError(f"Lyapunov solve requires a stable f; "
                           f"spectral radius is {rad:.6f}")
-    K = np.zeros_like(q, dtype=complex)
-    for _ in range(max_iter):
-        K_next = f @ K @ f.conj().T + q
-        K_next = (K_next + K_next.conj().T) / 2
-        if np.linalg.norm(K_next - K) <= tol:
-            return K_next
-        K = K_next
-    raise SolverError(f"Lyapunov iteration did not converge in {max_iter} "
-                      f"steps (size {len(f)}, spectral radius {rad:.6f})")
+    q = (q + q.conj().T) / 2
+    for doubled, (_, _, S, _, dS) in enumerate(_doublings(f, q)):
+        if np.linalg.norm(dS) <= DOUBLING_RTOL * np.linalg.norm(S):
+            return S
+        if doubled == max_iter:
+            break
+    raise SolverError(f"Lyapunov doubling did not converge in {max_iter} "
+                      f"doublings (size {len(f)}, spectral radius {rad:.6f})")
 
 
 @dataclass(frozen=True)

@@ -224,11 +224,7 @@ def gaussian_mutual_info(k, base="bits"):
 
     Equals 1/2 log(1 + sum_ij K_ij).
     """
-    a = validate_cov(k)
-    arg = 1.0 + float(a.sum())
-    if arg <= 0.0:
-        raise ValueError("degenerate output variance")
-    return 0.5 * _log(arg, base)
+    return _mutual_info(validate_cov(k), base)
 
 
 def gaussian_conditional_mi(k, j, base="bits"):
@@ -236,7 +232,20 @@ def gaussian_conditional_mi(k, j, base="bits"):
 
     Equals 1/2 log of 1 + sum_{i,k != j} K_ik - (sum_{i != j} K_ji)^2 / K_jj.
     """
-    a = validate_cov(k)
+    return _conditional_mi(validate_cov(k), j, base)
+
+
+# The private forms below take a covariance that validate_cov has already
+# accepted, so each probe runs one eigendecomposition per covariance.
+
+def _mutual_info(a, base):
+    arg = 1.0 + float(a.sum())
+    if arg <= 0.0:
+        raise ValueError("degenerate output variance")
+    return 0.5 * _log(arg, base)
+
+
+def _conditional_mi(a, j, base):
     n = a.shape[0]
     if not 0 <= j < n:
         raise ValueError("sender index out of range")
@@ -251,12 +260,15 @@ def gaussian_conditional_mi(k, j, base="bits"):
     return 0.5 * _log(arg, base)
 
 
+def _c2(a, base):
+    n = a.shape[0]
+    return sum(_conditional_mi(a, j, base) for j in range(n)) / (n - 1)
+
+
 def c2_from_cov(k, base="bits"):
     """C2 evaluated on an explicit covariance: the per-sender conditional
     informations averaged with weight 1/(N-1)."""
-    a = validate_cov(k)
-    n = a.shape[0]
-    return sum(gaussian_conditional_mi(a, j, base) for j in range(n)) / (n - 1)
+    return _c2(validate_cov(k), base)
 
 
 def dependence_balance_gap(k, base="bits"):
@@ -265,7 +277,8 @@ def dependence_balance_gap(k, base="bits"):
     Zero exactly at the symmetric optimizer (x = P, phi = phi(P)); negative
     beyond the root, where the bound rules the covariance out.
     """
-    return c2_from_cov(k, base) - gaussian_mutual_info(k, base)
+    a = validate_cov(k)
+    return _c2(a, base) - _mutual_info(a, base)
 
 
 def c2_concavity_probe(k1, k2, t, base="bits"):
@@ -279,6 +292,5 @@ def c2_concavity_probe(k1, k2, t, base="bits"):
     b = validate_cov(k2)
     if a.shape != b.shape:
         raise ValueError("covariances must share a dimension")
-    mix = t * a + (1.0 - t) * b
-    return c2_from_cov(mix, base) - t * c2_from_cov(a, base) \
-        - (1.0 - t) * c2_from_cov(b, base)
+    mix = validate_cov(t * a + (1.0 - t) * b)
+    return _c2(mix, base) - t * _c2(a, base) - (1.0 - t) * _c2(b, base)

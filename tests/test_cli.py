@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -63,6 +64,19 @@ def test_dare_rejects_bad_beta_before_solving(capsys, monkeypatch, method,
     assert "beta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("beta", ["1e76", "1e154"])
+def test_dare_closed_form_overflow_names_n_and_beta(capsys, beta):
+    # beta^(2n) is finite, so the constructor accepts these; G (at 1e154)
+    # or its Riccati residual (at 1e76) then overflows float64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["dare", "--n", "1", "--beta", beta])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "Riccati closed form" in err
+    assert f"n=1, beta={float(beta)}" in err
+
+
 def test_lqg_payload(capsys):
     pay = envelope(capsys, "lqg", "--n", "3", "--beta", "1.1")["payload"]
     assert pay["spectral_radius"] < 1.0
@@ -107,6 +121,22 @@ def test_simulate_csv(capsys):
     assert lines[0].startswith("# config:")
     assert lines[1].split(",")[0] == "step"
     assert len(lines) == 2 + 5
+
+
+def test_lqg_large_n_powers_match_riccati_diagonal(capsys):
+    # N=64 at beta=1.1 ran the step-by-step Lyapunov loop into its cap
+    pay = envelope(capsys, "lqg", "--n", "64", "--beta", "1.1")["payload"]
+    gdiag = pay["G"]["re"][::pay["G"]["cols"] + 1]
+    assert max(abs(p - g) for p, g in
+               zip(pay["asymptotic_powers"], gdiag)) <= 1e-8
+
+
+def test_verify_all_large_n_passes(capsys):
+    code, out = run_main(capsys, "verify", "all", "--n", "40", "--power", "1")
+    assert code == 0
+    lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
+    assert len(lines) == 19
+    assert all(ln.startswith("PASS") for ln in lines)
 
 
 def test_p2p_sk(capsys):

@@ -14,7 +14,7 @@ from feedcap.mac_code import (CENTER, MESSAGE_VAR, asymptotic_powers,
                               mutual_info_identity_check, simulate,
                               stationary_posterior_variances)
 from feedcap.montecarlo import CHUNK, RNG_ALGORITHM, chunk_draws
-from feedcap.riccati import dare_circulant
+from feedcap.riccati import dale_solve, dare_circulant, dare_iterate
 
 
 def _system(n=2, power=1.0):
@@ -158,14 +158,15 @@ def test_exact_step_table_consistent_with_stats():
     assert np.allclose(mean_power, stats.mean_powers, rtol=1e-12)
 
 
-def _reference_covs(sys, ctrl, n_steps, noise_var, trajectory):
+def _reference_covs(sys, ctrl, n_steps, noise_var, trajectory,
+                    dtype=complex):
     """K_1..K_n by the straight loop: stationary timing applies the closed
     loop from step 1; trajectory timing makes step 1 the open-loop
-    amplification A K_0 A'."""
-    A = sys.A
-    F = closed_loop(sys, ctrl)
-    BBt = sys.B @ sys.B.conj().T
-    K = np.eye(sys.n, dtype=complex) * MESSAGE_VAR
+    amplification A K_0 A'. dtype sets the working precision."""
+    A = sys.A.astype(dtype)
+    F = closed_loop(sys, ctrl).astype(dtype)
+    BBt = (sys.B @ sys.B.conj().T).astype(dtype)
+    K = np.eye(sys.n, dtype=dtype) * MESSAGE_VAR
     out = []
     for i in range(1, n_steps + 1):
         if trajectory and i == 1:
@@ -190,19 +191,25 @@ def test_exact_propagation_bitwise_matches_straight_loops(n, n_steps):
     assert np.array_equal(exact_mse(sys, ctrl, n_steps),
                           scale[-1] * K.diagonal().real)
 
+    # exact_trajectory_stats doubles instead of stepping, so it sums the
+    # same terms in another order and is held to rtol 1e-12, not to bits.
+    # Without noise K_n decays through cancelling products of F, and the
+    # float64 loop itself drifts 1.4e-12 from the true K_50 at N=16; the
+    # loop therefore runs in extended precision here.
     for noise_var in (0.0, 1.0):
         covs = _reference_covs(sys, ctrl, n_steps, noise_var,
-                               trajectory=True)
-        diag_sum = np.zeros(n)
-        for K in covs:
-            diag_sum += K.diagonal().real
+                               trajectory=True, dtype=np.clongdouble)
+        diag_sum = sum(K.diagonal().real for K in covs)
         mse = scale[-1] * covs[-1].diagonal().real
         stats = exact_trajectory_stats(sys, ctrl, n_steps, noise_var)
-        assert np.array_equal(stats.per_sender_mse, mse)
-        assert np.array_equal(stats.mse_exponents,
-                              -np.log2(mse) / (2.0 * n_steps))
-        assert np.array_equal(stats.mean_powers,
-                              gains_sq * diag_sum / n_steps)
+        np.testing.assert_allclose(stats.per_sender_mse, mse.astype(float),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(
+            stats.mse_exponents,
+            (-np.log2(mse) / (2.0 * n_steps)).astype(float), rtol=1e-12)
+        np.testing.assert_allclose(
+            stats.mean_powers, (gains_sq * diag_sum / n_steps).astype(float),
+            rtol=1e-12)
 
     covs = _reference_covs(sys, ctrl, n_steps, 1.0, trajectory=True)
     rows = list(exact_step_table(sys, ctrl, n_steps))
@@ -210,6 +217,62 @@ def test_exact_propagation_bitwise_matches_straight_loops(n, n_steps):
     for (step, mse_row, power_row), K, s in zip(rows, covs, scale):
         assert np.array_equal(mse_row, s * K.diagonal().real)
         assert np.array_equal(power_row, gains_sq * K.diagonal().real)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 32])
+def test_exact_trajectory_doubling_matches_loop(n):
+    sys = build_system(n, math.sqrt(2.0) if n == 1 else beta_for_power(n, 1.0))
+    ctrl = lqg_controller(sys)
+    gains_sq = np.abs(ctrl.gains) ** 2
+    diags = [K.diagonal().real
+             for K in _reference_covs(sys, ctrl, 2000, 1.0, trajectory=True)]
+    diag_sums = np.cumsum(diags, axis=0)
+    for h in (1, 2, 3, 50, 300, 2000):
+        stats = exact_trajectory_stats(sys, ctrl, h)
+        # at n=1, h=2000 the MSE 2^-2000 K_11 underflows to 0 on both
+        # routes; the exponent, taken in the log domain, does not
+        np.testing.assert_allclose(stats.per_sender_mse,
+                                   sys.beta ** (-2.0 * h) * diags[h - 1],
+                                   rtol=1e-12)
+        np.testing.assert_allclose(
+            stats.mse_exponents,
+            math.log2(sys.beta) - np.log2(diags[h - 1]) / (2.0 * h),
+            rtol=1e-12)
+        np.testing.assert_allclose(stats.mean_powers,
+                                   gains_sq * diag_sums[h - 1] / h,
+                                   rtol=1e-12)
+
+
+@pytest.mark.parametrize("n,power,n_steps", [(128, 1.0, 10 ** 4),
+                                             (3, 2.0, 3000)])
+def test_exact_exponents_finite_past_mse_underflow(n, power, n_steps):
+    # beta^(-2h) K_jj underflows once 2h log2(beta) passes about 1074 bits
+    sys, ctrl = _system(n, power)
+    stats = exact_trajectory_stats(sys, ctrl, n_steps)
+    assert np.all(np.isfinite(stats.mse_exponents))
+    kbar = dale_solve(closed_loop(sys, ctrl),
+                      sys.B @ sys.B.conj().T).diagonal().real
+    pred = math.log2(sys.beta) - np.log2(kbar) / (2.0 * n_steps)
+    assert np.max(np.abs(stats.mse_exponents - pred)) <= 1e-6
+    if n == 3:
+        assert stats.mse_exponents == pytest.approx(0.59836, abs=1e-5)
+
+
+@pytest.mark.parametrize("n,power,n_steps", [(24, 10.0, 300), (32, 2.0, 300),
+                                             (3, 2.0, 1100)])
+def test_former_breaks_meet_design_tolerances(n, power, n_steps):
+    # the step-by-step Lyapunov loop hit its 100k cap at the first two
+    # points, and the exponent was inf at the third
+    sys, ctrl = _system(n, power)
+    G = dare_circulant(n, sys.beta).G
+    gdiag = G.diagonal().real
+    assert np.linalg.norm(dare_iterate(sys, np.eye(n)).G - G) <= 1e-8
+    powers = asymptotic_powers(sys, ctrl)
+    assert np.max(np.abs(powers - gdiag)) <= 1e-8
+    kbar = powers / np.abs(ctrl.gains) ** 2
+    pred = math.log2(sys.beta) - np.log2(kbar) / (2.0 * n_steps)
+    stats = exact_trajectory_stats(sys, ctrl, n_steps)
+    assert np.max(np.abs(stats.mse_exponents - pred)) <= 1e-6
 
 
 def test_simulate_reproducible_and_thread_invariant():
@@ -303,7 +366,6 @@ def test_power_constraint_at_range_edges():
 
 def test_exponent_gap_bounded_by_stationary_covariance():
     # |(-1/2n) log2 D_j - log2 beta| <= (log2 Kbar_jj + 1)/(2n)
-    from feedcap.riccati import dale_solve
     for n, power in ((2, 1.0), (3, 5.0)):
         sys, ctrl = _system(n, power)
         F = closed_loop(sys, ctrl)

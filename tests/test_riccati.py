@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from feedcap.errors import SolverError
+from feedcap.mac_code import closed_loop, lqg_controller
 from feedcap.riccati import (dale_solve, dare_circulant, dare_iterate,
                              riccati_residual, riclem_verify,
                              symmetric_system)
@@ -128,3 +129,51 @@ def test_solver_errors_name_size_and_loop():
         dale_solve(0.5 * np.eye(2), np.eye(2), max_iter=3)
     with pytest.raises(SolverError, match=r"n=3"):
         dare_iterate(symmetric_system(3, 1.2), np.eye(3), max_iter=3)
+
+
+def _lyapunov_loop(f, q):
+    """K = f K f' + q by the plain fixed-point loop, the route dale_solve
+    took before doubling; stops once a step moves K by under 1e-15 of it."""
+    K = np.zeros_like(q, dtype=complex)
+    for _ in range(100000):
+        K_next = f @ K @ f.conj().T + q
+        K_next = (K_next + K_next.conj().T) / 2
+        if np.linalg.norm(K_next - K) <= 1e-15 * np.linalg.norm(K_next):
+            return K_next
+        K = K_next
+    raise AssertionError("reference Lyapunov loop did not converge")
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+@pytest.mark.parametrize("radius", [0.3, 0.9, 0.99])
+def test_dale_doubling_matches_loop_on_random_stable_f(n, radius):
+    rng = np.random.default_rng(100 * n + int(100 * radius))
+    f = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    f *= radius / np.max(np.abs(np.linalg.eigvals(f)))
+    q0 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q = q0 @ q0.conj().T
+    ref = _lyapunov_loop(f, q)
+    k = dale_solve(f, q)
+    assert np.linalg.norm(k - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.array_equal(k, k.conj().T)
+
+
+@pytest.mark.parametrize("n,beta", [(2, 1.2), (3, 1.05), (3, 1.2), (8, 1.1),
+                                    (16, 1.05)])
+def test_dale_doubling_matches_loop_on_closed_loops(n, beta):
+    sys = symmetric_system(n, beta)
+    ctrl = lqg_controller(sys)
+    f = closed_loop(sys, ctrl)
+    q = sys.B @ sys.B.conj().T
+    ref = _lyapunov_loop(f, q)
+    k = dale_solve(f, q)
+    assert np.linalg.norm(k - ref) <= 1e-12 * np.linalg.norm(ref)
+    # the stationary powers |c_j|^2 Kbar_jj are the Riccati diagonal
+    assert np.allclose(np.abs(ctrl.gains) ** 2 * k.diagonal().real,
+                       dare_circulant(n, beta).G.diagonal().real,
+                       rtol=1e-13, atol=0)
+
+
+def test_dale_zero_forcing_is_zero():
+    assert np.array_equal(dale_solve(0.5 * np.eye(2), np.zeros((2, 2))),
+                          np.zeros((2, 2)))

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -277,6 +278,32 @@ def test_concavity_probe_nonnegative():
         k1 = m1 @ m1.T + 1e-3 * np.eye(dim)
         k2 = m2 @ m2.T + 1e-3 * np.eye(dim)
         assert c2_concavity_probe(k1, k2, 0.5) >= -1e-10
+
+
+def test_converse_probes_validate_each_covariance_once(monkeypatch):
+    # the package re-exports a function named sum_capacity; take the module
+    sc = importlib.import_module("feedcap.sum_capacity")
+    calls = []
+
+    def counting(k):
+        calls.append(1)
+        return validate_cov(k)
+    monkeypatch.setattr(sc, "validate_cov", counting)
+    rng = np.random.default_rng(6)
+    m1, m2 = rng.normal(size=(2, 4, 4))
+    k1, k2 = m1 @ m1.T + 1e-3 * np.eye(4), m2 @ m2.T + 1e-3 * np.eye(4)
+    margin = sc.c2_concavity_probe(k1, k2, 0.25)
+    assert len(calls) == 3          # K1, K2 and their mixture
+    gap = sc.dependence_balance_gap(k1)
+    assert len(calls) == 4
+    # the same arithmetic as the public per-sender forms
+    mix = 0.25 * k1 + 0.75 * k2
+
+    def c2_public(k):
+        return sum(gaussian_conditional_mi(k, j) for j in range(4)) / 3
+    assert margin == (c2_public(mix) - 0.25 * c2_public(k1)
+                      - 0.75 * c2_public(k2))
+    assert gap == c2_public(k1) - gaussian_mutual_info(k1)
 
 
 def test_gamma_star_requires_interior_phi():

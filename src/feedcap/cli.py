@@ -60,11 +60,16 @@ def _emit(args, payload, t0):
 
 
 def _threads():
+    """FEEDCAP_THREADS as a worker-thread count, 1 when unset or empty."""
     raw = os.environ.get("FEEDCAP_THREADS", "")
     try:
-        return max(1, int(raw)) if raw else 1
+        threads = int(raw) if raw else 1
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise ValueError("FEEDCAP_THREADS must be a positive integer, "
+                         f"got {raw!r}")
+    return threads
 
 
 # ---------------------------------------------------------------- sumcap
@@ -118,6 +123,11 @@ def _cmd_lqg(args, t0):
 # -------------------------------------------------------------- simulate
 
 def _cmd_simulate(args, t0):
+    try:
+        threads = _threads()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     sysm = build_system(args.n, beta_for_power(args.n, args.power))
     ctrl = lqg_controller(sysm)
     if args.csv:
@@ -132,12 +142,11 @@ def _cmd_simulate(args, t0):
             print(",".join(vals))
         return 0
     report = simulate(sysm, ctrl, args.steps, args.trials, args.seed,
-                      threads=_threads())
+                      threads=threads)
     payload = {
         "n": args.n, "power": args.power, "beta": sysm.beta,
         "n_steps": report.n_steps, "trials": report.trials,
         "seed": report.seed, "rng_algorithm": report.rng_algorithm,
-        "precision_limited": report.precision_limited,
         "per_sender_mse": report.per_sender_mse.tolist(),
         "mse_exponents": report.mse_exponents.tolist(),
         "empirical_powers": report.empirical_powers.tolist(),

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-from .montecarlo import (RNG_ALGORITHM, check_seed, chunk_draws, map_chunks,
-                         precision_limited)
+from .montecarlo import RNG_ALGORITHM, check_seed, chunk_draws, map_chunks
 from .matrix_core import spectral_radius
 from .riccati import (MacSystem, _trajectory_sums, dale_solve,
                       dare_circulant, symmetric_system as build_system)
@@ -45,19 +44,13 @@ class LinearController:
 
 @dataclass(frozen=True)
 class SimReport:
-    """Aggregated Monte Carlo results; exponents are in bits.
-
-    precision_limited is set when n_steps log2(beta) is past the float64
-    decoder floor (montecarlo.DECODER_BITS): the sampled MSE then measures
-    rounding, and the exponents fall short of the exact ones.
-    """
+    """Aggregated Monte Carlo results; exponents are in bits."""
     n_steps: int
     trials: int
     per_sender_mse: np.ndarray
     mse_exponents: np.ndarray
     empirical_powers: np.ndarray
     seed: int
-    precision_limited: bool
     rng_algorithm: str = RNG_ALGORITHM
 
 
@@ -236,10 +229,8 @@ def _run_chunk(sys, ctrl, n_steps, seed, chunk, count, noise_var):
     a = sys.a_diag
     u, z = chunk_draws(seed, chunk, (count, n, 2), (count, n_steps, 2),
                        math.sqrt(noise_var / 2.0))
-    m = u[..., 0] + 1j * u[..., 1] - CENTER
+    S = u[..., 0] + 1j * u[..., 1] - CENTER
     noise = z[..., 0] + 1j * z[..., 1]
-    S = m.copy()
-    Sh = np.zeros_like(S)
     y = np.zeros((count, 1), dtype=complex)
     # sum over trials and steps of |S|^2, per real axis of each sender
     state_sq = np.zeros(2 * n)
@@ -247,16 +238,12 @@ def _run_chunk(sys, ctrl, n_steps, seed, chunk, count, noise_var):
     for i in range(n_steps):
         S *= a
         S += y
-        Sh *= a
-        Sh += y
         state_sq += np.einsum("ij,ij->j", S_axes, S_axes)
         # einsum rather than S @ gains: a BLAS product may start its own
         # threads, which fight the chunk pool (3x slower at N=16, 2 threads)
         y = (noise[:, i] - np.einsum("ij,j->i", S, ctrl.gains))[:, None]
-    mhat = -(a ** (-n_steps)) * Sh
-    err = m - mhat
     powers = (np.abs(ctrl.gains) ** 2) * (state_sq[0::2] + state_sq[1::2])
-    return (np.abs(err) ** 2).sum(axis=0), powers
+    return (np.abs(S) ** 2).sum(axis=0), powers
 
 
 def simulate(sys, ctrl, n_steps, trials, seed, noise_var=1.0, threads=1):
@@ -265,8 +252,12 @@ def simulate(sys, ctrl, n_steps, trials, seed, noise_var=1.0, threads=1):
     Trials run in fixed 1024-trial chunks, each drawing its messages and
     noise from one counter-based stream keyed by (seed, chunk index), so
     the report is bit-identical for a fixed seed regardless of thread count
-    or execution order. Chunk sums are added in chunk order. The decoder
-    runs its own mirrored recursion from a zero start on every trial.
+    or execution order. Chunk sums are added in chunk order.
+
+    The error is read off the senders' state through the identity
+    M - decode(Y) = A^{-n} S_n, without subtracting nearly equal numbers:
+    the MSE is beta^{-2n} mean|S_n,j|^2, and the exponents
+    log2(beta) - log2(mean|S_n,j|^2)/(2n) stay finite after it underflows.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -277,19 +268,19 @@ def simulate(sys, ctrl, n_steps, trials, seed, noise_var=1.0, threads=1):
         lambda chunk, count: _run_chunk(sys, ctrl, n_steps, seed, chunk,
                                         count, noise_var),
         trials, threads)
-    sq_err = np.zeros(sys.n)
+    final_sq = np.zeros(sys.n)
     pow_acc = np.zeros(sys.n)
-    for se, pa in parts:
-        sq_err += se
+    for fs, pa in parts:
+        final_sq += fs
         pow_acc += pa
-    mse = sq_err / trials
+    mean_sq = final_sq / trials
     return SimReport(
         n_steps=n_steps, trials=trials,
-        per_sender_mse=mse,
-        mse_exponents=-np.log2(mse) / (2.0 * n_steps),
+        per_sender_mse=sys.beta ** (-2.0 * n_steps) * mean_sq,
+        mse_exponents=(math.log2(sys.beta)
+                       - np.log2(mean_sq) / (2.0 * n_steps)),
         empirical_powers=pow_acc / (trials * n_steps),
-        seed=int(seed),
-        precision_limited=precision_limited(n_steps, sys.beta))
+        seed=int(seed))
 
 
 def asymptotic_powers(sys, ctrl):

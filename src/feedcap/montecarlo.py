@@ -6,6 +6,7 @@ Philox generator keyed by the 128-bit value (seed, k): the low word is the
 run seed, the high word the chunk index. A chunk draws its messages first and
 then its noise, so a report depends only on the seed and the trial count,
 never on the thread count or on the order in which chunks run.
+Both simulators read each trial's error off the final state they step.
 """
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -14,15 +15,6 @@ import numpy as np
 
 RNG_ALGORITHM = "philox4x64 keyed by (seed, 1024-trial chunk)"
 CHUNK = 1024
-
-# The decoders recover an error of relative size beta^(-n) as the difference
-# of two numbers near the message, each carried with the 53 significant bits
-# of a float64. Every bit of n log2(beta) spends one of them, and rounding in
-# the n-step recursions spends a few more: measured over N 2-16, P 0.5-10 and
-# the scalar code, sampled exponents stay within 0.1% of exact propagation up
-# to 46 bits, up to 1.5% short at 48 and up to 8.5% at 52. Past DECODER_BITS
-# the sampled error is partly rounding noise, not decoding error.
-DECODER_BITS = (np.finfo(np.float64).nmant + 1) - 7
 
 
 def check_seed(seed):
@@ -59,7 +51,3 @@ def map_chunks(run, trials, threads=1):
             return list(pool.map(lambda job: run(*job), jobs))
     return [run(k, count) for k, count in jobs]
 
-
-def precision_limited(n_steps, beta):
-    """True when n_steps log2(beta) passes the float64 decoder floor."""
-    return n_steps * math.log2(beta) > DECODER_BITS

@@ -25,8 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SolverError
-from .montecarlo import (RNG_ALGORITHM, check_seed, chunk_draws, map_chunks,
-                         precision_limited)
+from .montecarlo import RNG_ALGORITHM, check_seed, chunk_draws, map_chunks
 from .sum_capacity import _LN
 
 UNIT_CIRCLE_TOL = 1e-9
@@ -291,11 +290,7 @@ def entropy_rate(s_z, base="bits"):
 
 @dataclass(frozen=True)
 class SkSimReport:
-    """Scalar feedback-code Monte Carlo summary (rates in bits).
-
-    precision_limited is set when n_steps log2(beta) is past the float64
-    decoder floor, where the sampled MSE measures rounding.
-    """
+    """Scalar feedback-code Monte Carlo summary (rates in bits)."""
     power: float
     n_steps: int
     trials: int
@@ -305,7 +300,6 @@ class SkSimReport:
     exponent: float
     empirical_power: float
     x_trajectory: np.ndarray
-    precision_limited: bool
     rng_algorithm: str = RNG_ALGORITHM
 
 
@@ -314,10 +308,11 @@ def sk_recursion_simulate(power, n_steps, seed, trials=10000, noise_var=1.0):
 
     beta = sqrt(1 + P), a = (beta^2 - 1)/beta^2; the real message is uniform
     on (0, 1), mapped to X_1 = sqrt(12 P) (M - 1/2) so the transmit power is
-    P from the first step. The receiver combines all n outputs into the
-    linear estimate of X_1 whose error is exactly beta^{-n} X_{n+1}, and the
-    reported exponent is -(1/2n) log2 of the message MSE relative to the
-    prior variance 1/12, which converges to log2(beta) = 1/2 log2(1+P).
+    P from the first step. The receiver's linear estimate of X_1 from all
+    n outputs has error exactly beta^{-n} X_{n+1}, so the error is read off
+    the final state. The reported exponent, taken in the log domain, is
+    -(1/2n) log2 of the message MSE relative to the prior variance 1/12,
+    which converges to log2(beta) = 1/2 log2(1+P).
     """
     if power <= 0.0:
         raise ValueError("power must be positive")
@@ -332,33 +327,26 @@ def sk_recursion_simulate(power, n_steps, seed, trials=10000, noise_var=1.0):
         m, z = chunk_draws(seed, chunk, (count,), (count, n_steps),
                            math.sqrt(noise_var))
         x = scale * (m - 0.5)
-        x1 = x
         traj = np.empty(n_steps)
         sq_x = 0.0
-        comb = np.zeros(count)
-        wt = 1.0
         for i in range(n_steps):
             traj[i] = x[0]
             sq_x += x @ x
-            y = x + z[:, i]
-            comb += wt * y
-            wt /= beta
-            x = beta * (x - a * y)
-        merr = (x1 - a * comb) / scale
-        return float(merr @ merr), float(sq_x), traj
+            x = beta * (x - a * (x + z[:, i]))
+        return float(x @ x), float(sq_x), traj
 
     parts = map_chunks(run_chunk, trials)
-    sq = sum(part[0] for part in parts)
+    # mean (X_{n+1} / scale)^2; the message MSE is beta^{-2n} times it
+    final_sq = sum(part[0] for part in parts) / (trials * scale * scale)
     pow_acc = sum(part[1] for part in parts)
-    mse = sq / trials
-    rel = mse / (1.0 / 12.0)
+    mse = beta ** (-2.0 * n_steps) * final_sq
     return SkSimReport(
         power=float(power), n_steps=n_steps, trials=trials, seed=int(seed),
-        mse=mse, relative_mse=rel,
-        exponent=-math.log2(rel) / (2.0 * n_steps),
+        mse=mse, relative_mse=12.0 * mse,
+        exponent=(math.log2(beta)
+                  - math.log2(12.0 * final_sq) / (2.0 * n_steps)),
         empirical_power=pow_acc / (trials * n_steps),
-        x_trajectory=parts[0][2],
-        precision_limited=precision_limited(n_steps, beta))
+        x_trajectory=parts[0][2])
 
 
 @dataclass(frozen=True)

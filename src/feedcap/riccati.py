@@ -118,7 +118,7 @@ def dare_iterate(sys, k0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     therefore lifted to k0 + I, which has no effect on the limit.
 
     Args:
-        sys: MacSystem (or any object with fields A, B, n).
+        sys: MacSystem (or any object with fields A, B, n, beta).
         k0: Hermitian positive-semidefinite start.
         tol: convergence threshold on the Riccati residual.
         max_iter: iteration cap.
@@ -127,7 +127,8 @@ def dare_iterate(sys, k0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         DareSolution with the fixed point, iteration count, and residual.
 
     Raises:
-        SolverError: if max_iter is hit before the residual drops below tol.
+        SolverError: if an iterate stops being finite, or max_iter is hit
+            before the residual drops below tol.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -139,13 +140,19 @@ def dare_iterate(sys, k0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     if eig_min <= 1e-12 * max(1.0, np.abs(k0).max()):
         K = K + np.eye(sys.n)
     last = np.inf
-    for it in range(1, max_iter + 1):
-        K_next = _riccati_map(K, A, B)
-        last = float(np.linalg.norm(K_next - K))
-        K = K_next
-        if last <= tol:
-            return DareSolution(G=K, iterations=it,
-                                residual=riccati_residual(K, A, B))
+    # overflow is caught by the finite check instead of warning every step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            K_next = _riccati_map(K, A, B)
+            last = float(np.linalg.norm(K_next - K))
+            K = K_next
+            if last <= tol:
+                return DareSolution(G=K, iterations=it,
+                                    residual=riccati_residual(K, A, B))
+            if not math.isfinite(last):
+                raise SolverError(
+                    "Riccati iteration overflows float64: step "
+                    f"{it} is not finite (n={sys.n}, beta={sys.beta})")
     raise SolverError(
         f"Riccati iteration did not converge in {max_iter} steps "
         f"(n={sys.n}, last residual {last:.3e})")

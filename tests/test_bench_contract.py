@@ -7,9 +7,15 @@ benchmark run, so these checks keep the contract in the tier-1 suite. The
 files are parsed, not imported, so reading them runs no benchmark code.
 """
 import ast
+import dataclasses
 import importlib
 import inspect
+import json
 from pathlib import Path
+
+from feedcap.cli import main
+from feedcap.mac_code import ExactStats, SimReport
+from feedcap.p2p_gaussian import SkSimReport
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -103,3 +109,48 @@ def test_workload_call_arguments_bind():
 def test_one_system_constructor():
     assert _function("mac_code", "build_system") \
         is _function("riccati", "symmetric_system")
+
+
+def _method(tree, cls, name):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == name:
+                    return item
+    raise AssertionError(f"{cls}.{name} not found")
+
+
+def test_mc_check_reads_report_fields():
+    # McCode.check reads the scalar report as `out` and the MAC pair as
+    # (exact, rep); every field it reads must exist on the report type
+    fields = {name: {f.name for f in dataclasses.fields(cls)}
+              for name, cls in (("rep", SimReport), ("exact", ExactStats),
+                                ("out", SkSimReport))}
+    read = set()
+    for node in ast.walk(_method(_tree("workloads.py"), "McCode", "check")):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in fields):
+            assert node.attr in fields[node.value.id], \
+                f"{node.value.id}.{node.attr}"
+            read.add(f"{node.value.id}.{node.attr}")
+    assert {"rep.mse_exponents", "exact.mean_powers", "out.exponent"} <= read
+
+
+def test_cli_simulate_check_reads_payload_keys(capsys):
+    # CliSession._check_simulate reads the payload as `pay` and its exact
+    # block as `ex`; every key it reads must be in a real payload
+    assert main(["simulate", "--n", "2", "--power", "1", "--steps", "4",
+                 "--trials", "16", "--exact"]) == 0
+    pay = json.loads(capsys.readouterr().out)["payload"]
+    keys = {"pay": set(pay), "ex": set(pay["exact"])}
+    read = set()
+    tree = _method(_tree("workloads.py"), "CliSession", "_check_simulate")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in keys):
+            key = ast.literal_eval(node.slice)
+            assert key in keys[node.value.id], f"{node.value.id}[{key!r}]"
+            read.add(key)
+    assert {"exact", "mse_exponents", "mean_powers"} <= read

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -35,7 +36,6 @@ def test_sumcap_payload(capsys):
 
 
 def test_sumcap_nats(capsys):
-    import math
     bits = envelope(capsys, "sumcap", "--n", "3", "--power", "2")["payload"]
     nats = envelope(capsys, "sumcap", "--n", "3", "--power", "2",
                     "--base", "nats")["payload"]
@@ -77,6 +77,20 @@ def test_dare_closed_form_overflow_names_n_and_beta(capsys, beta):
     assert f"n=1, beta={float(beta)}" in err
 
 
+@pytest.mark.parametrize("beta", ["1e76", "1e154"])
+def test_dare_iteration_overflow_names_n_and_beta(capsys, beta):
+    # the iteration stops at its first non-finite step instead of running
+    # all max_iter steps on NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["dare", "--n", "1", "--beta", beta, "--method",
+                     "iterate"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "Riccati iteration overflows" in err
+    assert f"n=1, beta={float(beta)}" in err
+
+
 def test_lqg_payload(capsys):
     pay = envelope(capsys, "lqg", "--n", "3", "--beta", "1.1")["payload"]
     assert pay["spectral_radius"] < 1.0
@@ -100,17 +114,38 @@ def test_simulate_threads_env_invariant(capsys, monkeypatch):
     monkeypatch.setenv("FEEDCAP_THREADS", "4")
     threaded = envelope(capsys, *args)["payload"]
     assert base["per_sender_mse"] == threaded["per_sender_mse"]
-
-
-def test_simulate_payload_flags_precision_floor(capsys):
-    args = ("simulate", "--n", "3", "--power", "2", "--trials", "64",
-            "--seed", "1", "--steps")
-    short = envelope(capsys, *args, "50")["payload"]
-    long = envelope(capsys, *args, "150")["payload"]
-    assert short["precision_limited"] is False
-    assert long["precision_limited"] is True
-    assert short["rng_algorithm"] == \
+    assert base["rng_algorithm"] == \
         "philox4x64 keyed by (seed, 1024-trial chunk)"
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5"])
+def test_simulate_rejects_malformed_threads_env(capsys, monkeypatch, raw):
+    monkeypatch.setenv("FEEDCAP_THREADS", raw)
+    code = main(["simulate", "--n", "2", "--power", "1", "--steps", "8",
+                 "--trials", "64"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "FEEDCAP_THREADS" in captured.err and repr(raw) in captured.err
+
+
+@pytest.mark.parametrize("steps", ["200", "3000"])
+def test_simulate_payload_tracks_exact_at_long_horizons(capsys, steps):
+    # n log2(beta) is 120 bits at 200 steps and 1797 at 3000; the MSE
+    # itself underflows at 3000, the exponents stay finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", "--n", "3", "--power", "2", "--steps",
+                     steps, "--trials", "256", "--seed", "7", "--exact"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    pay = json.loads(captured.out)["payload"]
+    assert set(pay) == {"n", "power", "beta", "n_steps", "trials", "seed",
+                        "rng_algorithm", "per_sender_mse", "mse_exponents",
+                        "empirical_powers", "exact"}
+    assert all(math.isfinite(e) for e in pay["mse_exponents"])
+    for got, want in zip(pay["mse_exponents"], pay["exact"]["mse_exponents"]):
+        assert got == pytest.approx(want, rel=0.01)
 
 
 def test_simulate_csv(capsys):
@@ -155,7 +190,6 @@ def test_p2p_sk_csv(capsys):
 
 
 def test_p2p_bode(capsys):
-    import math
     pay = envelope(capsys, "p2p", "bode", "--poles", "1.3,1.7",
                    "--zeros", "0.5", "--gain", "-4.0857")["payload"]
     assert pay["bode_integral"] == pytest.approx(math.log2(1.3 * 1.7),

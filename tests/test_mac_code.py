@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -321,11 +322,21 @@ def test_simulate_matches_per_trial_reference():
     assert reports[0].rng_algorithm == RNG_ALGORITHM
 
 
-def test_simulate_flags_decoder_precision_floor():
-    # n log2(beta) is 29.9 bits at 50 steps and 89.8 at 150
+@pytest.mark.parametrize("n_steps", [50, 200, 3000])
+def test_simulate_exponents_match_exact_at_long_horizons(n_steps):
+    # n log2(beta) is 29.9 bits at 50 steps, 120 at 200 and 1797 at 3000,
+    # far past the 53 bits a decoder subtracting M - Mhat could resolve;
+    # the MSE underflows at 3000 steps while the exponents stay finite
     sys, ctrl = _system(3, 2.0)
-    assert not simulate(sys, ctrl, 50, 64, seed=1).precision_limited
-    assert simulate(sys, ctrl, 150, 64, seed=1).precision_limited
+    exact = exact_trajectory_stats(sys, ctrl, n_steps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = simulate(sys, ctrl, n_steps, 4096, seed=7)
+    assert np.all(np.isfinite(rep.mse_exponents))
+    assert np.max(np.abs(rep.mse_exponents / exact.mse_exponents - 1.0)) \
+        <= 0.01
+    np.testing.assert_allclose(rep.empirical_powers, exact.mean_powers,
+                               rtol=0.05)
 
 
 def test_simulate_validation():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -261,11 +262,15 @@ def test_sk_recursion_matches_per_trial_reference():
     assert rep.rng_algorithm == RNG_ALGORITHM
 
 
-def test_sk_flags_decoder_precision_floor():
-    # n log2(beta) is 39.6 bits at 50 steps and 118.9 at 150
-    assert not sk_recursion_simulate(2.0, 50, seed=1, trials=64) \
-        .precision_limited
-    assert sk_recursion_simulate(2.0, 150, seed=1, trials=64).precision_limited
+@pytest.mark.parametrize("n_steps", [50, 150, 3000])
+def test_sk_exponent_reaches_log2_beta_at_long_horizons(n_steps):
+    # n log2(beta) is 39.6 bits at 50 steps, 119 at 150 and 2377 at 3000;
+    # the error is read off X_{n+1}, so it keeps its digits at any horizon
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = sk_recursion_simulate(2.0, n_steps, seed=1, trials=2000)
+    assert rep.exponent == pytest.approx(0.5 * math.log2(3.0), rel=0.01)
+    assert rep.empirical_power == pytest.approx(2.0, rel=0.05)
 
 
 def test_sk_relative_mse_tracks_closed_form():

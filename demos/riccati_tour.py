@@ -2,8 +2,9 @@
 
 The stationary covariance of the optimal feedback code is circulant: the
 DFT diagonalizes it and its eigenvalues form a geometric ladder. The same
-matrix drops out of blind fixed-point iteration, and it satisfies two
-scalar sum identities that tie it back to the per-sender gains.
+matrix drops out of the Riccati recursion run from a blind start (doubled
+in information form, on K^{-1}), and it satisfies two scalar sum
+identities that tie it back to the per-sender gains.
 """
 import numpy as np
 
@@ -30,7 +31,7 @@ sys = symmetric_system(n, beta)
 for label, k0 in (("zero", np.zeros((n, n))), ("identity", np.eye(n))):
     it = dare_iterate(sys, k0)
     gap = np.linalg.norm(it.G - closed.G)
-    print(f"\niteration from {label} start: {it.iterations} steps, "
+    print(f"\niteration from {label} start: {it.iterations} doublings, "
           f"|gap to closed form| = {gap:.2e}")
 
 check = riclem_verify(closed, sys)

@@ -93,7 +93,7 @@ def _cmd_dare(args, t0):
     if args.method == "circulant":
         sol = dare_circulant(args.n, args.beta)
     else:
-        sol = dare_iterate(sysm, np.eye(args.n), tol=args.tol)
+        sol = dare_iterate(sysm, np.eye(args.n))
     check = riclem_verify(sol, sysm)
     payload = {
         "n": args.n, "beta": args.beta, "method": args.method,
@@ -476,8 +476,6 @@ def build_parser():
     da.add_argument("--beta", type=float, required=True)
     da.add_argument("--method", choices=("iterate", "circulant"),
                     default="circulant")
-    da.add_argument("--tol", type=float, default=1e-10,
-                    help="iteration step tolerance (default 1e-10)")
     da.set_defaults(func=_cmd_dare)
 
     lq = sub.add_parser("lqg", help="synthesize the feedback gains")

@@ -6,19 +6,21 @@ The Riccati equation solved here is the estimation form
     K = A K A' - A K B (1 + B' K B)^{-1} (A K B)'
 
 whose unique positive-definite solution is the stationary covariance of the
-feedback code. Two routes are provided: fixed-point iteration of the
-recursion itself, and a closed-form circulant construction for the
-symmetric system (equal gains beta, phases at the n-th roots of unity).
-The closed form carries a geometric eigenvalue ladder on the DFT bins:
+feedback code. Two independent routes are provided. The information form
+runs the recursion on M = K^{-1}, where it is the linear Stein recursion
+M <- A^{-H} (M + B B') A^{-1} driven by the stable A^{-1}. The closed form
+is a circulant construction for the symmetric system (equal gains beta,
+phases at the n-th roots of unity). It carries a geometric eigenvalue
+ladder on the DFT bins:
 
     lambda_1 = (beta^{2n} - 1) / n,   lambda_k = lambda_{k-1} / beta^2.
 
 Cross-identities (sum rule 1 + B'KB = prod beta_j^2 and its leave-one-out
 variant) are exposed as a verification record.
 
-The linear recursion T(X) = F X F' + Q of the closed loop is never stepped
-here: one doubling kernel serves both the stationary Lyapunov solution and
-the exact covariances at a horizon, in O(N^3) per doubling.
+No linear recursion T(X) = F X F' + Q is stepped here: one doubling kernel
+serves the information-form Riccati solution, the stationary Lyapunov
+solution and the exact covariances at a horizon, in O(N^3) per doubling.
 """
 import math
 from dataclasses import dataclass
@@ -28,9 +30,8 @@ import numpy as np
 from .errors import SolverError
 from .matrix_core import as_matrix, circulant_from_eigs, spectral_radius
 
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 100000
-# Lyapunov doubling: stop once a doubling adds less than this share of K
+# doubling solves stop once a doubling changes the sum by less than this
+# share of it (Frobenius norms)
 DOUBLING_RTOL = 1e-15
 DALE_MAX_DOUBLINGS = 64
 
@@ -108,54 +109,87 @@ def _check_psd_hermitian(k0):
     return k0, eig_min
 
 
-def dare_iterate(sys, k0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
-    """Solve the Riccati equation by iterating its own recursion.
+def dare_iterate(sys, k0, max_iter=DALE_MAX_DOUBLINGS):
+    """Solve the Riccati equation by doubling its information form.
+
+    For K positive definite,
+
+        K - K B (1 + B'K B)^{-1} B'K = (K^{-1} + B B')^{-1},
+
+    so one Riccati step maps M = K^{-1} to A^{-H} (M + B B') A^{-1}: the
+    linear recursion T(M) = f M f' + q with f = A^{-H}, q = f B B' f',
+    driven by the stable A^{-1}. The doubling kernel gives its runs
+    T^m(M_0) = S_m + f^m M_0 f'^m, so 2^k Riccati steps cost k doublings.
+    They stop once a doubling changes M by less than DOUBLING_RTOL of it.
+    The limit is M = sum_{t>=1} A^{-Ht} B B' A^{-t} and G = M^{-1}; this
+    route never uses the DFT ladder of the closed form.
 
     Converges to the unique positive-definite fixed point from any
-    positive-definite start. Zero is also a fixed point of the recursion
-    (there is no process noise to re-excite a collapsed covariance), and a
-    singular start can never leave its own range; singular seeds k0 are
-    therefore lifted to k0 + I, which has no effect on the limit.
+    positive-definite start when every |a_j| > 1. Zero is also a fixed
+    point of the recursion (there is no process noise to re-excite a
+    collapsed covariance), and a singular start can never leave its own
+    range; singular seeds k0 are therefore lifted to k0 + I, which has no
+    effect on the limit.
 
     Args:
         sys: MacSystem (or any object with fields A, B, n, beta).
         k0: Hermitian positive-semidefinite start.
-        tol: convergence threshold on the Riccati residual.
-        max_iter: iteration cap.
+        max_iter: cap on the number of doublings.
 
     Returns:
-        DareSolution with the fixed point, iteration count, and residual.
+        DareSolution with the fixed point, the number of doublings taken as
+        `iterations` (they cover 2^iterations Riccati steps) and the
+        Riccati residual.
 
     Raises:
-        SolverError: if an iterate stops being finite, or max_iter is hit
-            before the residual drops below tol.
+        SolverError: if max_iter doublings do not converge, M is singular
+            or G or its residual is not finite in float64, or G's Riccati
+            residual exceeds 1e-8 of |G|.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     A, B = sys.A, sys.B
     k0, eig_min = _check_psd_hermitian(k0)
     if k0.shape[0] != sys.n:
         raise ValueError("k0 dimension does not match the system")
-    K = k0.astype(complex)
+    k0 = k0.astype(complex)
     if eig_min <= 1e-12 * max(1.0, np.abs(k0).max()):
-        K = K + np.eye(sys.n)
-    last = np.inf
-    # overflow is caught by the finite check instead of warning every step
+        k0 = k0 + np.eye(sys.n)
+    m0 = np.linalg.inv(k0)
+    f = np.linalg.inv(A).conj().T
+    fb = f @ B
+    where = f"(n={sys.n}, beta={sys.beta})"
+    # overflow is caught by the finite check below instead of warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(1, max_iter + 1):
-            K_next = _riccati_map(K, A, B)
-            last = float(np.linalg.norm(K_next - K))
-            K = K_next
-            if last <= tol:
-                return DareSolution(G=K, iterations=it,
-                                    residual=riccati_residual(K, A, B))
-            if not math.isfinite(last):
-                raise SolverError(
-                    "Riccati iteration overflows float64: step "
-                    f"{it} is not finite (n={sys.n}, beta={sys.beta})")
-    raise SolverError(
-        f"Riccati iteration did not converge in {max_iter} steps "
-        f"(n={sys.n}, last residual {last:.3e})")
+        prev = m0
+        for doubled, (_, P, S, _, _) in enumerate(
+                _doublings(f, fb @ fb.conj().T)):
+            M = S + _congruence(P, m0)
+            if np.linalg.norm(M - prev) <= DOUBLING_RTOL * np.linalg.norm(M):
+                break
+            if doubled == max_iter:
+                raise SolverError(f"Riccati doubling did not converge in "
+                                  f"{max_iter} doublings {where}")
+            prev = M
+        try:
+            G = np.linalg.inv(M)
+        except np.linalg.LinAlgError:
+            raise SolverError(
+                f"Riccati information form is singular in float64 {where}"
+            ) from None
+        G = (G + G.conj().T) / 2
+        residual = riccati_residual(G, A, B)
+        size = np.linalg.norm(G)
+    if not (math.isfinite(size) and math.isfinite(residual)):
+        raise SolverError("Riccati iteration overflows float64: G or its "
+                          f"residual is not finite {where}")
+    # inverting M amplifies its round-off by cond(M), beta^(2(n-1)) on the
+    # symmetric system, and the residual itself cancels to about
+    # eps beta^2 |G|; past either, G cannot be shown to be the fixed point
+    if residual > 1e-8 * size:
+        raise SolverError(
+            "Riccati information form fails its fixed-point check in "
+            f"float64: residual {residual:.3e} against |G| = {size:.3e} "
+            f"{where}")
+    return DareSolution(G=G, iterations=doubled, residual=residual)
 
 
 def dare_circulant(n, beta):

@@ -16,6 +16,7 @@ from pathlib import Path
 from feedcap.cli import main
 from feedcap.mac_code import ExactStats, SimReport
 from feedcap.p2p_gaussian import SkSimReport
+from feedcap.riccati import DareSolution, RiclemCheck
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -135,6 +136,53 @@ def test_mc_check_reads_report_fields():
                 f"{node.value.id}.{node.attr}"
             read.add(f"{node.value.id}.{node.attr}")
     assert {"rep.mse_exponents", "exact.mean_powers", "out.exponent"} <= read
+
+
+def _fields(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def test_trace_hooks_read_return_fields():
+    # an `after(out, span)` callback of hook `_hook_<module>_<fn>` reads the
+    # traced function's return value as `out`; every field it reads must
+    # exist on the return type
+    returns = {"_hook_riccati_dare_iterate": DareSolution}
+    read = set()
+    for node in ast.walk(_tree("tracing.py")):
+        if not (isinstance(node, ast.FunctionDef)
+                and node.name.startswith("_hook_")):
+            continue
+        for sub in ast.walk(node):
+            if (isinstance(sub, ast.Attribute)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "out"):
+                assert node.name in returns, \
+                    f"{node.name} reads out.{sub.attr}; list its return type"
+                assert sub.attr in _fields(returns[node.name]), \
+                    f"{node.name}: out.{sub.attr}"
+                read.add(f"{node.name}: out.{sub.attr}")
+    assert "_hook_riccati_dare_iterate: out.iterations" in read
+
+
+def test_design_sweep_check_reads_solver_fields():
+    # DesignSweep.check reads the solver results off the run record `r`;
+    # every field it reads off the Riccati results must exist on their type
+    types = {"iter": DareSolution, "circ": DareSolution,
+             "riclem": RiclemCheck}
+    read = set()
+    for node in ast.walk(_method(_tree("workloads.py"), "DesignSweep",
+                                 "check")):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Subscript)
+                and isinstance(node.value.value, ast.Name)
+                and node.value.value.id == "r"):
+            key = ast.literal_eval(node.value.slice)
+            if key in types:
+                assert node.attr in _fields(types[key]), \
+                    f"r[{key!r}].{node.attr}"
+                read.add(f"{key}.{node.attr}")
+    assert {"iter.G", "circ.G", "riclem.residual_a",
+            "riclem.residual_b"} <= read
 
 
 def test_cli_simulate_check_reads_payload_keys(capsys):

@@ -4,10 +4,12 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from conftest import PHI, SUMCAP_BITS
 from feedcap.cli import main
+from feedcap.mac_code import beta_for_power
 
 
 def run_main(capsys, *argv):
@@ -79,8 +81,8 @@ def test_dare_closed_form_overflow_names_n_and_beta(capsys, beta):
 
 @pytest.mark.parametrize("beta", ["1e76", "1e154"])
 def test_dare_iteration_overflow_names_n_and_beta(capsys, beta):
-    # the iteration stops at its first non-finite step instead of running
-    # all max_iter steps on NaN
+    # G = 1/M is finite at 1e76 but its Riccati residual is not; at 1e154
+    # G itself is at the float64 edge
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code = main(["dare", "--n", "1", "--beta", beta, "--method",
@@ -89,6 +91,32 @@ def test_dare_iteration_overflow_names_n_and_beta(capsys, beta):
     err = capsys.readouterr().err
     assert "Riccati iteration overflows" in err
     assert f"n=1, beta={float(beta)}" in err
+
+
+def _matrix(d):
+    return (np.asarray(d["re"]) + 1j * np.asarray(d["im"])).reshape(
+        d["rows"], d["cols"])
+
+
+def test_dare_iterate_at_n64_matches_circulant_after_json(capsys):
+    beta = repr(beta_for_power(64, 20.0))
+    circ = envelope(capsys, "dare", "--n", "64", "--beta", beta)
+    it = envelope(capsys, "dare", "--n", "64", "--beta", beta, "--method",
+                  "iterate")
+    gap = np.linalg.norm(_matrix(it["payload"]["G"])
+                         - _matrix(circ["payload"]["G"]))
+    assert gap <= 1e-8
+    assert it["payload"]["identity_residuals"]["a"] <= 1e-8
+    assert it["payload"]["identity_residuals"]["b"] <= 1e-8
+    assert "tol" not in it["config_echo"]
+
+
+def test_dare_has_no_tol_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["dare", "--n", "3", "--beta", "1.2", "--method", "iterate",
+              "--tol", "1e-10"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_lqg_payload(capsys):

@@ -1,9 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import feedcap.riccati as riccati
 from feedcap.errors import SolverError
-from feedcap.mac_code import closed_loop, lqg_controller
+from feedcap.mac_code import beta_for_power, closed_loop, lqg_controller
 from feedcap.riccati import (dale_solve, dare_circulant, dare_iterate,
                              riccati_residual, riclem_verify,
                              symmetric_system)
@@ -86,14 +89,12 @@ def test_dare_iterate_rejects_bad_seeds():
         dare_iterate(sys, -np.eye(2))                            # negative
     with pytest.raises(ValueError):
         dare_iterate(sys, np.eye(3))                             # wrong size
-    with pytest.raises(ValueError):
-        dare_iterate(sys, np.eye(2), tol=-1.0)
 
 
 def test_dare_iterate_iteration_cap():
     sys = symmetric_system(2, 1.2)
     with pytest.raises(SolverError):
-        dare_iterate(sys, np.eye(2), tol=1e-14, max_iter=3)
+        dare_iterate(sys, np.eye(2), max_iter=3)
 
 
 @settings(max_examples=25, deadline=None)
@@ -177,3 +178,131 @@ def test_dale_doubling_matches_loop_on_closed_loops(n, beta):
 def test_dale_zero_forcing_is_zero():
     assert np.array_equal(dale_solve(0.5 * np.eye(2), np.zeros((2, 2))),
                           np.zeros((2, 2)))
+
+
+def _riccati_loop(sys, k0):
+    """The Riccati map stepped one step at a time from k0 (lifted to k0 + I
+    when singular), the route dare_iterate took before doubling; stops on
+    an absolute step of 1e-10."""
+    A, B = sys.A, sys.B
+    K = k0.astype(complex)
+    if np.min(np.linalg.eigvalsh(K)) <= 1e-12 * max(1.0, np.abs(K).max()):
+        K = K + np.eye(sys.n)
+    for _ in range(100000):
+        s = 1.0 + (B.conj().T @ K @ B).real.item()
+        akb = A @ K @ B
+        K_next = A @ K @ A.conj().T - (akb @ akb.conj().T) / s
+        K_next = (K_next + K_next.conj().T) / 2
+        if np.linalg.norm(K_next - K) <= 1e-10:
+            return K_next
+        K = K_next
+    raise AssertionError("reference Riccati loop did not converge")
+
+
+def _seeds(n):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return {"zero": np.zeros((n, n)), "identity": np.eye(n),
+            "10 identity": 10.0 * np.eye(n),
+            "random PD": x @ x.conj().T + 0.1 * np.eye(n)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+@pytest.mark.parametrize("rate", [0.5, 2.0, 6.0])
+def test_doubling_matches_riccati_loop(n, rate):
+    # beta = 2^(rate/n) carries a sum rate n log2(beta) of `rate` bits
+    sys = symmetric_system(n, 2.0 ** (rate / n))
+    for name, k0 in _seeds(n).items():
+        sol = dare_iterate(sys, k0)
+        ref = _riccati_loop(sys, k0)
+        assert np.linalg.norm(sol.G - ref) <= 1e-8, name
+        assert sol.residual == riccati_residual(sol.G, sys.A, sys.B)
+
+
+def test_information_form_step_identity():
+    # one Riccati step on K is one Stein step A^{-H} (M + BB') A^{-1} on
+    # M = K^{-1}: the identity the doubling rests on
+    a = np.array([1.3, -1.1 + 0.4j, 2.0j])
+    sys = SimpleNamespace(A=np.diag(a), B=np.ones((3, 1), dtype=complex))
+    x = np.random.default_rng(7).normal(size=(3, 3, 2)) @ [1.0, 1.0j]
+    K = x @ x.conj().T + np.eye(3)
+    f = np.diag(1.0 / a.conj())
+    M = f @ (np.linalg.inv(K) + sys.B @ sys.B.conj().T) @ f.conj().T
+    step = riccati._riccati_map(K, sys.A, sys.B)
+    assert np.linalg.norm(step - np.linalg.inv(M)) \
+        <= 1e-12 * np.linalg.norm(step)
+
+
+def _cauchy_solution(a):
+    """G = M^{-1} for the Cauchy matrix M_jk = 1/(conj(a_j) a_k - 1), the
+    limit sum_{t>=1} A^{-Ht} BB' A^{-t} written out entry by entry."""
+    return np.linalg.inv(1.0 / (np.outer(a.conj(), a) - 1.0))
+
+
+@pytest.mark.parametrize("n,power", [(2, 1.0), (3, 2.0), (8, 10.0),
+                                     (32, 2.0), (64, 10.0)])
+def test_doubling_matches_cauchy_inverse(n, power):
+    sys = symmetric_system(n, beta_for_power(n, power))
+    G = dare_iterate(sys, np.eye(n)).G
+    assert np.linalg.norm(G - _cauchy_solution(np.diag(sys.A))) <= 1e-8
+
+
+def test_doubling_with_unequal_betas():
+    # the information form holds for any diagonal A with every |a_j| > 1;
+    # the closed form covers only equal betas, so the Cauchy inverse and the
+    # sum identities are the references here
+    betas = np.array([1.1, 1.3, 1.6, 2.0])
+    a = betas * np.exp(1j * np.array([0.0, 1.0, 2.5, 4.0]))
+    sys = SimpleNamespace(A=np.diag(a), B=np.ones((4, 1), dtype=complex),
+                          n=4, beta=None, betas=tuple(betas))
+    sol = dare_iterate(sys, np.eye(4))
+    assert np.linalg.norm(sol.G - _cauchy_solution(a)) <= 1e-8
+    assert np.linalg.norm(sol.G - _riccati_loop(sys, np.eye(4))) <= 1e-8
+    assert sol.residual <= 1e-10
+    check = riclem_verify(sol, sys)
+    assert check.residual_a <= 1e-8
+    assert check.residual_b <= 1e-8
+
+
+@pytest.mark.parametrize("n,power", [(62, 16.8), (64, 20.0)])
+def test_former_iteration_cap_points_meet_closed_form(n, power):
+    # the absolute 1e-10 step of the stepped loop sat below its round-off
+    # floor here, so it never converged
+    beta = beta_for_power(n, power)
+    sol = dare_iterate(symmetric_system(n, beta), np.eye(n))
+    assert np.linalg.norm(sol.G - dare_circulant(n, beta).G) <= 1e-8
+
+
+def test_doubling_meets_closed_form_on_design_grid():
+    # the benchmark's Frobenius check, over N 2-64 x P 0.1-20 on a log grid
+    for n in (2, 4, 8, 16, 32, 64):
+        for power in np.geomspace(0.1, 20.0, 6):
+            beta = beta_for_power(n, power)
+            sol = dare_iterate(symmetric_system(n, beta), np.eye(n))
+            gap = np.linalg.norm(sol.G - dare_circulant(n, beta).G)
+            assert gap <= 1e-8, (n, power)
+
+
+def test_doubling_never_steps_the_riccati_map(monkeypatch):
+    calls = []
+    real = riccati._riccati_map
+
+    def counted(K, A, B):
+        calls.append(1)
+        return real(K, A, B)
+    monkeypatch.setattr(riccati, "_riccati_map", counted)
+    sol = dare_iterate(symmetric_system(8, 1.05), np.eye(8))
+    # only the residual applies the map; 2^iterations steps are covered
+    assert len(calls) == 1
+    assert 2 ** sol.iterations >= 300
+
+
+@pytest.mark.parametrize("n,beta,match", [
+    (8, 13.45, "fixed-point check"),        # cond(M) = beta^14, about 1e16
+    (1, 3e5, "fixed-point check"),          # the residual cancels
+    (2, 1e77, "singular"),
+    (1, 1e76, "overflows")])
+def test_doubling_fails_loudly_past_float64(n, beta, match):
+    with pytest.raises(SolverError, match=match) as err:
+        dare_iterate(symmetric_system(n, beta), np.eye(n))
+    assert f"n={n}, beta={beta}" in str(err.value)

@@ -17,8 +17,7 @@ Messages are complex points uniform on the unit square (0,1)x(0,1); they
 are centered (1/2 subtracted per axis) before seeding the state, so the
 initial covariance is diagonal with 1/6 per sender (1/12 per real axis).
 Channel noise is circular complex Gaussian with unit total variance (1/2
-per axis). Rates and exponents are reported per complex symbol in bits by
-default.
+per axis). Rates and exponents are reported per complex symbol in bits.
 """
 import math
 from dataclasses import dataclass
@@ -30,7 +29,7 @@ from .montecarlo import RNG_ALGORITHM, check_seed, chunk_draws, map_chunks
 from .matrix_core import spectral_radius
 from .riccati import (MacSystem, _trajectory_sums, dale_solve,
                       dare_circulant, symmetric_system as build_system)
-from .sum_capacity import MacParams, solve_phi, _LN
+from .sum_capacity import LN2, MacParams, solve_phi
 
 CENTER = 0.5 + 0.5j
 MESSAGE_VAR = 1.0 / 6.0           # two uniform(0,1) axes, 1/12 each
@@ -87,7 +86,7 @@ def closed_loop_radius(sys, ctrl):
     return spectral_radius(closed_loop(sys, ctrl))
 
 
-def beta_for_power(n, power, tol=1e-12):
+def beta_for_power(n, power):
     """Gain beta = (1 + n P phi(P))^{1/(2n)} meeting the power constraint P.
 
     With this beta the Riccati diagonal is exactly P and the top eigenvalue
@@ -96,7 +95,7 @@ def beta_for_power(n, power, tol=1e-12):
     """
     if power <= 0.0:
         raise ValueError("power must be positive")
-    phi = solve_phi(MacParams(n_senders=n, power=power), tol=tol).phi
+    phi = solve_phi(MacParams(n_senders=n, power=power)).phi
     return float((1.0 + n * power * phi) ** (1.0 / (2 * n)))
 
 
@@ -318,13 +317,13 @@ def stationary_posterior_variances(sys, n_steps):
     return prior, prior - acc
 
 
-def mutual_info_identity_check(sys, n_steps, base="bits"):
-    """Residual of I(U_m; Y^n) = n log(beta), maximized over senders.
+def mutual_info_identity_check(sys, n_steps):
+    """Residual of I(U_m; Y^n) = n log2(beta) bits, maximized over senders.
 
     The information is computed from propagated Gaussian covariances as
     1/2 log(prior/posterior) per sender.
     """
     prior, post = stationary_posterior_variances(sys, n_steps)
-    mi = 0.5 * np.log(prior / post) / _LN[base]
-    target = n_steps * math.log(sys.beta) / _LN[base]
+    mi = 0.5 * np.log(prior / post) / LN2
+    target = n_steps * math.log(sys.beta) / LN2
     return float(np.max(np.abs(mi - target)))

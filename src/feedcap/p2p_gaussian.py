@@ -17,7 +17,7 @@ eigenvalues via numpy.roots). The core identities exercised here:
 
 Integrals are composite Simpson on [-pi, pi] from 4096 points, doubling
 until successive values agree below 1e-8 (Richardson gate), capped at 2^20
-points. Rates default to bits.
+points. Rates are in bits.
 """
 import math
 from dataclasses import dataclass, replace
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import SolverError
 from .montecarlo import RNG_ALGORITHM, check_seed, chunk_draws, map_chunks
-from .sum_capacity import _LN
+from .sum_capacity import LN2
 
 UNIT_CIRCLE_TOL = 1e-9
 QUAD_POINTS = 4096
@@ -144,13 +144,13 @@ def sk_filter(power):
     return ZpkFilter(zeros=(), poles=(beta,), gain=-(beta * beta - 1.0) / beta)
 
 
-def instability(f, base="bits"):
+def instability(f):
     """Sum of log|p| over open-loop poles outside the unit circle."""
     total = 0.0
     for p in f.poles:
         if abs(p) > 1.0:
             total += math.log(abs(p))
-    return total / _LN[base]
+    return total / LN2
 
 
 def _loop_poly(f, gain):
@@ -202,7 +202,7 @@ def power_integral(b, s_z=WHITE):
         lambda om: np.abs(b.response(np.exp(1j * om))) ** 2 * s_z.density(om))
 
 
-def rate_integral(b, base="bits"):
+def rate_integral(b):
     """Achievable rate (1/2pi) integral of 1/2 log|1 + B|^2 over [-pi, pi]."""
     _require_stable(b)
     if b.gain == 0:
@@ -213,12 +213,12 @@ def rate_integral(b, base="bits"):
         if np.min(mag) < 1e-14:
             raise SolverError("1 + B vanishes on the quadrature grid; "
                               "the rate integrand is singular")
-        return np.log(mag) / _LN[base]
+        return np.log(mag) / LN2
 
     return periodic_integral(integrand)
 
 
-def bode_integral(f, base="bits"):
+def bode_integral(f):
     """Sensitivity integral (1/2pi) integral of log|1/(1-F)| over [-pi, pi].
 
     Requires the closed loop to be stable (all characteristic roots inside
@@ -238,7 +238,7 @@ def bode_integral(f, base="bits"):
         den = np.full(z.shape, abs(lead))
         for r in roots:
             den = den * np.abs(z - r)
-        return np.log(num / den) / _LN[base]
+        return np.log(num / den) / LN2
 
     return periodic_integral(integrand)
 
@@ -272,7 +272,7 @@ def random_stabilized_filter(rng):
     raise SolverError("no stabilizing gain found after 50 random draws")
 
 
-def entropy_rate(s_z, base="bits"):
+def entropy_rate(s_z):
     """Entropy rate of the stationary Gaussian source with spectrum S_Z.
 
     (1/2pi) integral of 1/2 log(2 pi e S_Z); a unit white spectrum gives
@@ -283,7 +283,7 @@ def entropy_rate(s_z, base="bits"):
         s = s_z.density(om)
         if np.min(s) <= 0.0:
             raise SolverError("spectrum must be positive on the grid")
-        return 0.5 * np.log(2.0 * np.pi * np.e * s) / _LN[base]
+        return 0.5 * np.log(2.0 * np.pi * np.e * s) / LN2
 
     return periodic_integral(integrand)
 
@@ -357,8 +357,7 @@ class SearchResult:
     power: float
 
 
-def grid_capacity_search(s_z, power, pole_grid=None, gains_per_pole=2,
-                         base="bits"):
+def grid_capacity_search(s_z, power, pole_grid=None, gains_per_pole=2):
     """Search one-real-pole feedback filters B(z) = g / (z - p) for rate.
 
     For each stable pole candidate the power integral scales as g^2, so the
@@ -392,7 +391,7 @@ def grid_capacity_search(s_z, power, pole_grid=None, gains_per_pole=2,
         for g in gains:
             cand = ZpkFilter(zeros=(), poles=(p,), gain=g)
             try:
-                r = rate_integral(cand, base)
+                r = rate_integral(cand)
             except SolverError:
                 continue
             if best is None or r > best.rate:

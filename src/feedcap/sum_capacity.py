@@ -17,7 +17,7 @@ combination g = (1-gamma) C1 + gamma C2, Gaussian mutual-information forms
 over explicit covariances, and randomized concavity / dependence-balance
 probes.
 
-All rate-valued functions take base="bits" (default) or "nats".
+Every rate is in bits: each log is a natural log divided by LN2.
 """
 import math
 from dataclasses import dataclass
@@ -26,11 +26,13 @@ import numpy as np
 
 from .errors import SolverError
 
-_LN = {"bits": math.log(2.0), "nats": 1.0}
+LN2 = math.log(2.0)
+# bracket width on phi at which solve_phi stops bisecting
+PHI_TOL = 1e-12
 
 
-def _log(x, base):
-    return math.log(x) / _LN[base]
+def _log(x):
+    return math.log(x) / LN2
 
 
 @dataclass(frozen=True)
@@ -56,40 +58,38 @@ class PhiSolution:
     residual: float
 
 
-def c1(params, phi, base="bits"):
+def c1(params, phi):
     """First capacity expression, 1/2 log(1 + N P phi)."""
     if phi < 0:
         raise ValueError("phi must be >= 0")
-    return 0.5 * _log(1.0 + params.n_senders * params.power * phi, base)
+    return 0.5 * _log(1.0 + params.n_senders * params.power * phi)
 
 
-def c2(params, phi, base="bits"):
+def c2(params, phi):
     """Second capacity expression, N/(2(N-1)) log(1 + (N - phi) P phi)."""
     n = params.n_senders
     if not 0.0 <= phi <= n:
         raise ValueError(f"phi must lie in [0, {n}]")
-    return n / (2.0 * (n - 1)) * _log(1.0 + (n - phi) * params.power * phi, base)
+    return n / (2.0 * (n - 1)) * _log(1.0 + (n - phi) * params.power * phi)
 
 
-def solve_phi(params, tol=1e-12, base="bits"):
+def solve_phi(params):
     """Bisect for the unique phi in [1, N] where C1 and C2 cross.
 
     C2 - C1 is positive at phi = 1, negative at phi = N, and strictly
-    decreasing in between, so plain bisection is safe. tol bounds the final
-    bracket width on phi. P = 0 short-circuits to the analytic limit
-    phi = 1 with zero capacity.
+    decreasing in between, so plain bisection is safe. It stops once the
+    bracket on phi is at most PHI_TOL wide. P = 0 short-circuits to the
+    analytic limit phi = 1 with zero capacity.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     n, p = params.n_senders, params.power
     if p == 0.0:
         return PhiSolution(phi=1.0, rho=0.0, c1=0.0, c2=0.0, residual=0.0)
-    f = lambda phi: c2(params, phi, base) - c1(params, phi, base)
+    f = lambda phi: c2(params, phi) - c1(params, phi)
     lo, hi = 1.0, float(n)
     if not (f(lo) >= 0.0 and f(hi) < 0.0):
         raise SolverError(f"no sign change on [1, {n}] for N={n}, P={p}")
     for _ in range(200):
-        if hi - lo <= tol:
+        if hi - lo <= PHI_TOL:
             break
         mid = 0.5 * (lo + hi)
         if f(mid) >= 0.0:
@@ -97,15 +97,15 @@ def solve_phi(params, tol=1e-12, base="bits"):
         else:
             hi = mid
     phi = 0.5 * (lo + hi)
-    v1 = c1(params, phi, base)
-    v2 = c2(params, phi, base)
+    v1 = c1(params, phi)
+    v2 = c2(params, phi)
     return PhiSolution(phi=phi, rho=(phi - 1.0) / (n - 1),
                        c1=v1, c2=v2, residual=abs(v1 - v2))
 
 
-def sum_capacity(params, tol=1e-12, base="bits"):
+def sum_capacity(params):
     """Feedback sum capacity C1(P, phi(P))."""
-    return solve_phi(params, tol=tol, base=base).c1
+    return solve_phi(params).c1
 
 
 def phi_star(n, gamma, x):
@@ -161,7 +161,7 @@ def gamma_star(params, phi):
     return g
 
 
-def g_value(n, gamma, x, base="bits"):
+def g_value(n, gamma, x):
     """Weighted capacity combination (1-gamma) C1 + gamma C2 at phi*(gamma, x).
 
     gamma = 0 is rejected: without the C2 term the inner maximization over
@@ -171,31 +171,31 @@ def g_value(n, gamma, x, base="bits"):
         raise ValueError("gamma must be positive")
     ph = phi_star(n, gamma, x)
     params = MacParams(n_senders=n, power=float(x))
-    return (1.0 - gamma) * c1(params, ph, base) + gamma * c2(params, ph, base)
+    return (1.0 - gamma) * c1(params, ph) + gamma * c2(params, ph)
 
 
-def g_derivative(n, gamma, x, base="bits"):
+def g_derivative(n, gamma, x):
     """Closed-form x-derivative of g_value for gamma > 1.
 
     The envelope derivative evaluates to
         N (gamma - 1) phi*^2 / ((1 + N x phi*) (N - 2 phi*))
     in the convention where the capacities carry no 1/2 and natural logs;
-    rescaled here by 1/2 and the configured log base.
+    rescaled here by 1/2 and to bits.
     """
     ph = phi_star(n, gamma, x)
     core = n * (gamma - 1.0) * ph * ph / ((1.0 + n * x * ph) * (n - 2.0 * ph))
-    return 0.5 * core / _LN[base]
+    return 0.5 * core / LN2
 
 
-def g_derivative_check(n, gamma, x, base="bits"):
+def g_derivative_check(n, gamma, x):
     """|central finite difference of g_value - closed form| at relative step 1e-6."""
     if gamma <= 1.0:
         raise ValueError("gamma must exceed 1")
     if x <= 0.0:
         raise ValueError("x must be positive")
     h = 1e-6 * max(1.0, abs(x))
-    num = (g_value(n, gamma, x + h, base) - g_value(n, gamma, x - h, base)) / (2 * h)
-    return abs(num - g_derivative(n, gamma, x, base))
+    num = (g_value(n, gamma, x + h) - g_value(n, gamma, x - h)) / (2 * h)
+    return abs(num - g_derivative(n, gamma, x))
 
 
 def validate_cov(k):
@@ -219,33 +219,33 @@ def symmetric_cov(n, x, rho):
     return x * ((1.0 - rho) * np.eye(n) + rho * np.ones((n, n)))
 
 
-def gaussian_mutual_info(k, base="bits"):
+def gaussian_mutual_info(k):
     """I(X(S); Y) for Y = sum_k X_k + Z with unit-variance noise.
 
     Equals 1/2 log(1 + sum_ij K_ij).
     """
-    return _mutual_info(validate_cov(k), base)
+    return _mutual_info(validate_cov(k))
 
 
-def gaussian_conditional_mi(k, j, base="bits"):
+def gaussian_conditional_mi(k, j):
     """I(X(S minus j); Y | X_j) for the same channel.
 
     Equals 1/2 log of 1 + sum_{i,k != j} K_ik - (sum_{i != j} K_ji)^2 / K_jj.
     """
-    return _conditional_mi(validate_cov(k), j, base)
+    return _conditional_mi(validate_cov(k), j)
 
 
 # The private forms below take a covariance that validate_cov has already
 # accepted, so each probe runs one eigendecomposition per covariance.
 
-def _mutual_info(a, base):
+def _mutual_info(a):
     arg = 1.0 + float(a.sum())
     if arg <= 0.0:
         raise ValueError("degenerate output variance")
-    return 0.5 * _log(arg, base)
+    return 0.5 * _log(arg)
 
 
-def _conditional_mi(a, j, base):
+def _conditional_mi(a, j):
     n = a.shape[0]
     if not 0 <= j < n:
         raise ValueError("sender index out of range")
@@ -257,31 +257,31 @@ def _conditional_mi(a, j, base):
     arg = 1.0 + sub - cross * cross / a[j, j]
     if arg <= 0.0:
         raise ValueError("degenerate conditional variance")
-    return 0.5 * _log(arg, base)
+    return 0.5 * _log(arg)
 
 
-def _c2(a, base):
+def _c2(a):
     n = a.shape[0]
-    return sum(_conditional_mi(a, j, base) for j in range(n)) / (n - 1)
+    return sum(_conditional_mi(a, j) for j in range(n)) / (n - 1)
 
 
-def c2_from_cov(k, base="bits"):
+def c2_from_cov(k):
     """C2 evaluated on an explicit covariance: the per-sender conditional
     informations averaged with weight 1/(N-1)."""
-    return _c2(validate_cov(k), base)
+    return _c2(validate_cov(k))
 
 
-def dependence_balance_gap(k, base="bits"):
+def dependence_balance_gap(k):
     """C2(K) - I(X(S); Y); nonnegative for covariances feasible for codes.
 
     Zero exactly at the symmetric optimizer (x = P, phi = phi(P)); negative
     beyond the root, where the bound rules the covariance out.
     """
     a = validate_cov(k)
-    return _c2(a, base) - _mutual_info(a, base)
+    return _c2(a) - _mutual_info(a)
 
 
-def c2_concavity_probe(k1, k2, t, base="bits"):
+def c2_concavity_probe(k1, k2, t):
     """Concavity margin C2(t K1 + (1-t) K2) - t C2(K1) - (1-t) C2(K2).
 
     Nonnegative (up to round-off) if C2 is concave along the segment.
@@ -293,4 +293,4 @@ def c2_concavity_probe(k1, k2, t, base="bits"):
     if a.shape != b.shape:
         raise ValueError("covariances must share a dimension")
     mix = validate_cov(t * a + (1.0 - t) * b)
-    return _c2(mix, base) - t * _c2(a, base) - (1.0 - t) * _c2(b, base)
+    return _c2(mix) - t * _c2(a) - (1.0 - t) * _c2(b)

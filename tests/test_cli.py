@@ -1,5 +1,7 @@
+import inspect
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -7,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+import feedcap
 from conftest import PHI, SUMCAP_BITS
 from feedcap.cli import main
 from feedcap.mac_code import beta_for_power
@@ -34,14 +37,7 @@ def test_sumcap_payload(capsys):
     assert pay["sum_capacity"] == pytest.approx(SUMCAP_BITS[(2, 1.0)],
                                                 abs=1e-9)
     assert pay["c1"] == pytest.approx(pay["c2"], abs=1e-9)
-    assert env["config_echo"]["base"] == "bits"
-
-
-def test_sumcap_nats(capsys):
-    bits = envelope(capsys, "sumcap", "--n", "3", "--power", "2")["payload"]
-    nats = envelope(capsys, "sumcap", "--n", "3", "--power", "2",
-                    "--base", "nats")["payload"]
-    assert nats["c1"] == pytest.approx(bits["c1"] * math.log(2.0), rel=1e-10)
+    assert "base" not in env["config_echo"]
 
 
 def test_dare_methods_agree(capsys):
@@ -111,12 +107,40 @@ def test_dare_iterate_at_n64_matches_circulant_after_json(capsys):
     assert "tol" not in it["config_echo"]
 
 
-def test_dare_has_no_tol_option(capsys):
+@pytest.mark.parametrize("argv", [
+    ["dare", "--n", "3", "--beta", "1.2", "--method", "iterate",
+     "--tol", "1e-10"],
+    ["sumcap", "--n", "3", "--power", "2", "--tol", "1e-10"],
+    ["sumcap", "--n", "3", "--power", "2", "--base", "nats"],
+    ["p2p", "sk", "--power", "1", "--base", "nats"],
+    ["p2p", "bode", "--poles", "1.3", "--base", "nats"],
+    ["p2p", "search", "--power", "1", "--base", "nats"],
+], ids=["dare-tol", "sumcap-tol", "sumcap-base", "p2p-sk-base",
+        "p2p-bode-base", "p2p-search-base"])
+def test_removed_options_exit_2(capsys, argv):
+    # rates are always bits and every tolerance is a module constant
     with pytest.raises(SystemExit) as exc:
-        main(["dare", "--n", "3", "--beta", "1.2", "--method", "iterate",
-              "--tol", "1e-10"])
+        main(argv)
     assert exc.value.code == 2
-    assert "--tol" in capsys.readouterr().err
+    assert argv[-2] in capsys.readouterr().err
+
+
+def _library_functions():
+    from feedcap import p2p_gaussian, sum_capacity
+    for mod in (sum_capacity, p2p_gaussian):
+        for name, obj in vars(mod).items():
+            if inspect.isfunction(obj) and obj.__module__ == mod.__name__:
+                yield f"{mod.__name__}.{name}", obj
+    for name in feedcap.__all__:
+        obj = getattr(feedcap, name)
+        if inspect.isfunction(obj):
+            yield f"feedcap.{name}", obj
+
+
+def test_no_function_takes_base_or_tol():
+    offenders = [name for name, fn in _library_functions()
+                 if {"base", "tol"} & set(inspect.signature(fn).parameters)]
+    assert offenders == []
 
 
 def test_lqg_payload(capsys):
@@ -239,6 +263,57 @@ def test_p2p_search_bad_grid(capsys):
         code, _ = run_main(capsys, "p2p", "search", "--power", "2",
                            "--grid", grid)
         assert code == 2
+
+
+VERIFY_ROW = re.compile(r"(PASS|FAIL) (.+): value=(\S+) tol=(\S+) "
+                        r"margin=(\S+)")
+
+
+def verify_rows(out):
+    rows = [VERIFY_ROW.fullmatch(ln) for ln in out.splitlines()
+            if not ln.startswith("#")]
+    assert all(rows)
+    return [(m[1], m[2], float(m[3]), float(m[4]), float(m[5]))
+            for m in rows]
+
+
+def test_verify_lines_follow_the_one_rule(capsys):
+    code, out = run_main(capsys, "verify", "all", "--n", "3", "--power", "2")
+    assert code == 0
+    rows = verify_rows(out)
+    assert len(rows) == 19
+    for status, _name, value, tol, margin in rows:
+        assert (status == "PASS") == (value <= tol)
+        assert margin == pytest.approx(tol - value, rel=1e-3, abs=1e-15)
+
+
+def test_verify_nan_value_fails_its_row(capsys, monkeypatch):
+    # one NaN among finite residuals: the builtin max would drop it
+    calls = []
+
+    def one_nan(n, gamma, x):
+        calls.append(x)
+        return float("nan") if len(calls) == 5 else 0.0
+    monkeypatch.setattr("feedcap.cli.g_derivative_check", one_nan)
+    code, out = run_main(capsys, "verify", "all", "--n", "3", "--power", "2")
+    assert code == 3
+    rows = verify_rows(out)
+    assert [name for status, name, *_ in rows if status == "FAIL"] == \
+        ["weighted-capacity derivative identity"]
+    assert sum(status == "PASS" for status, *_ in rows) == 18
+    assert out.splitlines()[-1] == "# 18/19 checks passed"
+
+
+@pytest.mark.parametrize("power", ["500", "1000", "1e6"])
+def test_verify_all_at_high_power_passes_without_warnings(capsys, power):
+    # beta^(-400) K underflowed to 0 in the old 200-step exponent probe
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", "all", "--n", "2", "--power", power])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert [row[0] for row in verify_rows(captured.out)] == ["PASS"] * 19
 
 
 def test_verify_converse_passes(capsys):

@@ -199,8 +199,6 @@ def test_random_filter_matches_per_gain_loop(seed, draws):
 
 def test_entropy_rate_white():
     assert entropy_rate(WHITE) == pytest.approx(HALF_LOG2_2PIE, abs=1e-9)
-    assert entropy_rate(WHITE, base="nats") == pytest.approx(
-        HALF_LOG2_2PIE * math.log(2.0), abs=1e-9)
 
 
 def test_entropy_rate_constant_spectrum():

@@ -9,7 +9,7 @@ from conftest import GAMMA_STAR_2_1, PHI, SUMCAP_BITS
 from feedcap.errors import SolverError
 from feedcap.sum_capacity import (MacParams, c1, c2, c2_concavity_probe,
                                   c2_from_cov, dependence_balance_gap,
-                                  g_derivative, g_derivative_check, g_value,
+                                  g_derivative_check, g_value,
                                   gamma_star, gaussian_conditional_mi,
                                   gaussian_mutual_info, phi_star, solve_phi,
                                   sum_capacity, symmetric_cov, validate_cov)
@@ -35,9 +35,6 @@ def test_c1_c2_closed_forms():
         0.5 * math.log2(31.0), abs=1e-14)
     assert c2(MacParams(n_senders=4, power=2.0), 2.0) == pytest.approx(
         (2.0 / 3.0) * math.log2(9.0), abs=1e-14)
-    # base switch scales by ln 2
-    assert c1(p, 1.0, base="nats") == pytest.approx(
-        c1(p, 1.0) * math.log(2.0), abs=1e-15)
 
 
 def test_c2_rejects_phi_outside_domain():
@@ -88,12 +85,6 @@ def test_endpoint_inequality_chain():
 def test_sum_capacity_frozen_values(n, power):
     cap = sum_capacity(MacParams(n_senders=n, power=power))
     assert cap == pytest.approx(SUMCAP_BITS[(n, power)], abs=1e-10)
-
-
-def test_sum_capacity_base_switch():
-    p = MacParams(n_senders=3, power=2.0)
-    assert sum_capacity(p, base="nats") == pytest.approx(
-        sum_capacity(p) * math.log(2.0), rel=1e-12)
 
 
 def test_sum_capacity_monotone_in_power():
@@ -167,12 +158,6 @@ def test_g_derivative_matches_finite_difference():
         for gamma in (1.2, 2.0, 4.0):
             for x in (0.5, 2.0, 8.0):
                 assert g_derivative_check(n, gamma, x) <= 1e-6
-
-
-def test_g_derivative_base():
-    d_bits = g_derivative(3, 2.0, 1.0)
-    d_nats = g_derivative(3, 2.0, 1.0, base="nats")
-    assert d_nats == pytest.approx(d_bits * math.log(2.0), rel=1e-12)
 
 
 def test_g_value_rejects_nonpositive_gamma():

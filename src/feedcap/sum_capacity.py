@@ -62,7 +62,7 @@ def c1(params, phi):
     """First capacity expression, 1/2 log(1 + N P phi)."""
     if phi < 0:
         raise ValueError("phi must be >= 0")
-    return 0.5 * _log(1.0 + params.n_senders * params.power * phi)
+    return 0.5 * math.log1p(params.n_senders * params.power * phi) / LN2
 
 
 def c2(params, phi):
@@ -70,7 +70,8 @@ def c2(params, phi):
     n = params.n_senders
     if not 0.0 <= phi <= n:
         raise ValueError(f"phi must lie in [0, {n}]")
-    return n / (2.0 * (n - 1)) * _log(1.0 + (n - phi) * params.power * phi)
+    x = (n - phi) * params.power * phi
+    return n / (2.0 * (n - 1)) * math.log1p(x) / LN2
 
 
 def solve_phi(params):

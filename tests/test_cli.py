@@ -40,6 +40,11 @@ def test_sumcap_payload(capsys):
     assert "base" not in env["config_echo"]
 
 
+def test_sumcap_low_power(capsys):
+    pay = envelope(capsys, "sumcap", "--n", "8", "--power", "1e-9")["payload"]
+    assert pay["c1"] == pytest.approx(pay["c2"], rel=1e-12)
+
+
 def test_dare_methods_agree(capsys):
     a = envelope(capsys, "dare", "--n", "3", "--beta", "1.2")["payload"]
     b = envelope(capsys, "dare", "--n", "3", "--beta", "1.2",
@@ -254,6 +259,15 @@ def test_p2p_search(capsys):
                    "--grid", "80x2")["payload"]
     assert pay["rate"] > 0.7
     assert pay["power_used"] == pytest.approx(2.0, rel=1e-6)
+
+
+def test_p2p_search_as_written_kink(capsys):
+    # as written, alpha = -1 puts a kink at omega = 0, and at low power the
+    # best pole is the grid's last, 0.99, right next to it
+    pay = envelope(capsys, "p2p", "search", "--alpha", "-1", "--convention",
+                   "as-written", "--power", "0.01")["payload"]
+    assert pay["pole"]["re"] == pytest.approx(0.99)
+    assert pay["power_used"] == pytest.approx(0.01, rel=1e-6)
 
 
 def test_p2p_search_bad_grid(capsys):

@@ -51,6 +51,83 @@ def test_periodic_integral_basics():
         lambda om: np.cos(om) ** 2) == pytest.approx(0.5, abs=1e-10)
 
 
+def test_periodic_integral_settles_a_kink():
+    # a kink at omega = 0 leaves the grid mean an O(h^2) error; the Simpson
+    # combination of two successive means removes it
+    assert periodic_integral(
+        lambda om: 1e5 * np.abs(np.sin(om / 2))) == pytest.approx(
+            2e5 / np.pi, abs=1e-8)
+
+
+def test_periodic_integral_fails_loudly_at_the_cap():
+    # a square-root cusp leaves an O(h^1.5) error that neither the grid
+    # mean nor its Simpson combination settles within 2^20 points
+    with pytest.raises(SolverError, match="failed to settle"):
+        periodic_integral(lambda om: 1e5 * np.sqrt(np.abs(np.sin(om / 2))))
+
+
+def test_integrals_settle_within_4096_points(monkeypatch):
+    # count the points of every integrand the module hands to
+    # periodic_integral, one total per integral
+    seen = []
+
+    def counting(func):
+        def counted(omega):
+            seen[-1] += len(omega)
+            return func(omega)
+        seen.append(0)
+        return periodic_integral(counted)
+    monkeypatch.setattr("feedcap.p2p_gaussian.periodic_integral", counting)
+    b = feedback_transform(sk_filter(1.0))
+    assert rate_integral(b) == pytest.approx(0.5, abs=1e-12)
+    assert power_integral(b) == pytest.approx(1.0, abs=1e-12)
+    f = random_stabilized_filter(np.random.default_rng(0))
+    assert bode_integral(f) == pytest.approx(instability(f), abs=1e-12)
+    assert len(seen) == 3
+    assert max(seen) <= 4096, seen
+
+
+@pytest.mark.parametrize("pole, gain", [
+    (0.0, 0.5), (0.5, 2.0), (0.5, -2.0), (0.9, 0.3), (0.99, 0.3),
+    (0.99, -0.3), (0.99, 5.0), (0.99, -0.005), (-0.9, 0.5), (-0.99, -3.0)])
+def test_one_pole_integrals_match_closed_forms(pole, gain):
+    # 1 + B = (z - pole + gain)/(z - pole), so Jensen's formula gives the
+    # rate log2+|pole - gain|; Parseval gives the white-noise power
+    b = ZpkFilter(zeros=(), poles=(pole,), gain=gain)
+    assert rate_integral(b) == pytest.approx(
+        max(0.0, math.log2(abs(pole - gain))), abs=1e-12)
+    assert power_integral(b) == pytest.approx(
+        gain * gain / (1.0 - pole * pole), rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha, pole, pole_coef", [
+    (1.0, 0.0, 0.0), (1.0, 0.5, 0.0), (1.0, 0.9, 0.5), (1.0, -0.9, 0.0),
+    (1.0, 0.5, -0.7), (-1.0, 0.0, 0.0), (-1.0, 0.5, 0.0), (-1.0, 0.9, 0.5),
+    (-1.0, -0.9, 0.0), (-1.0, 0.5, -0.7),
+    # poles next to the kink, as on the default search grid
+    (-1.0, 0.99, 0.0), (-1.0, 0.98, -0.5), (-1.0, 0.99, 0.9),
+    (1.0, -0.99, 0.0), (1.0, -0.98, 0.5), (1.0, 0.99, -0.9)])
+def test_power_integral_kink_case(alpha, pole, pole_coef):
+    # as written, |1 + alpha e^{jw}| with |alpha| = 1 has a kink at w = 0 or
+    # pi. The integrand is even and smooth on [0, pi], so Gauss-Legendre on
+    # panels there, graded towards both ends where a pole near +-1 peaks,
+    # is the reference.
+    s = Arma1Spectrum(alpha=alpha, pole_coef=pole_coef,
+                      convention="as-written")
+    b = ZpkFilter(zeros=(), poles=(pole,), gain=1.0)
+    x, w = np.polynomial.legendre.leggauss(60)
+    edges = [0.0, 1e-3, 1e-2, 0.1, 1.0, np.pi - 1.0, np.pi - 0.1,
+             np.pi - 1e-2, np.pi - 1e-3, np.pi]
+    ref = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        om = lo + 0.5 * (hi - lo) * (x + 1.0)
+        ref += 0.5 * (hi - lo) / np.pi * w @ (
+            np.abs(b.response(np.exp(1j * om))) ** 2 * s.density(om))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert power_integral(b, s) == pytest.approx(ref, abs=1e-8)
+
+
 def test_sk_filter_chain_single_power():
     f = sk_filter(3.0)
     assert instability(f) == pytest.approx(0.5 * math.log2(4.0), abs=1e-12)

@@ -1,6 +1,8 @@
 import importlib
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,6 +54,32 @@ def test_solve_phi_matches_frozen_roots(n, power):
     assert 1.0 <= sol.phi <= n
     assert sol.residual <= 1e-9
     assert sol.rho == pytest.approx((sol.phi - 1.0) / (n - 1.0), abs=1e-14)
+
+
+def _mp_capacity(n, power):
+    # 60-digit bisection of C2 - C1 on [1, N]; C1 at the root, in bits
+    with mpmath.workdps(60):
+        p = mpmath.mpf(power)
+        k = mpmath.mpf(n) / (2 * (n - 1))
+
+        def f(phi):
+            return (k * mpmath.log1p((n - phi) * p * phi)
+                    - mpmath.log1p(n * p * phi) / 2)
+        lo, hi = mpmath.mpf(1), mpmath.mpf(n)
+        for _ in range(120):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if f(mid) >= 0 else (lo, mid)
+        return float(mpmath.log1p(n * p * lo) / (2 * mpmath.log(2)))
+
+
+@pytest.mark.parametrize("power", [10.0 ** e for e in range(-15, 13)])
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+def test_solve_phi_across_the_power_range(n, power):
+    # at small P both logs are ~P, so 1 + x would round away their digits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_phi(MacParams(n_senders=n, power=power))
+    assert sol.c1 == pytest.approx(_mp_capacity(n, power), rel=1e-12, abs=0)
 
 
 def test_solve_phi_zero_power():

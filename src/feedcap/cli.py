@@ -336,13 +336,14 @@ def _solver_checks(n, power, seed):
         ("Riccati closed form matches iteration",
          np.linalg.norm(closed.G - iterated.G) / np.linalg.norm(closed.G),
          1e-11),
+        # relative: to prod beta^2 = beta^(2n), and to the budget P
         ("Riccati sum identities",
-         np.max([rc.residual_a, rc.residual_b]), 1e-8),
+         np.max([rc.residual_a, rc.residual_b]) / beta ** (2 * n), 1e-13),
         ("Riccati diagonal equals the power budget",
-         np.max(np.abs(closed.G.diagonal().real - power)), 1e-6),
+         np.max(np.abs(closed.G.diagonal().real - power)) / power, 1e-9),
         ("closed loop stable", closed_loop_radius(sysm, ctrl), 1.0 - 1e-12),
         ("asymptotic powers equal the budget",
-         np.max(np.abs(pw - power)), 1e-6),
+         np.max(np.abs(pw - power)) / power, 1e-9),
         ("sum rate n log2(beta) equals capacity",
          abs(n * np.log2(beta) - sol.c1), 1e-9),
         ("mutual information identity",

@@ -1,5 +1,5 @@
-"""Dense complex matrix utilities: DFT/circulant construction, spectral
-radius, and a JSON encoder.
+"""Dense complex matrix utilities: validation, output variances, DFT and
+circulant construction, spectral radius, and a JSON encoder.
 
 All operations are pure: inputs are validated, never mutated, and results
 are fresh arrays. Matrices are numpy complex128 throughout.
@@ -21,6 +21,38 @@ def as_matrix(m, square=False):
     if square and a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a.copy()
+
+
+def hermitian_psd(m, name):
+    """(Hermitian part as complex128, smallest eigenvalue) of a Hermitian
+    PSD matrix. Asymmetry and negative eigenvalues pass up to 1e-10
+    max(1, max |m_ij|); past that a ValueError names the argument `name`."""
+    a = as_matrix(m, square=True)
+    tol = 1e-10 * max(1.0, np.abs(a).max())
+    if np.max(np.abs(a - a.conj().T)) > tol:
+        raise ValueError(f"{name} must be Hermitian")
+    h = (a + a.conj().T) / 2
+    eig_min = float(np.linalg.eigvalsh(h)[0])
+    if eig_min < -tol:
+        raise ValueError(
+            f"{name} must be positive-semidefinite (min eig {eig_min})")
+    return h, eig_min
+
+
+def output_variances(k):
+    """s = Var(Y) = 1 + Re(1'K1) for Y = sum_j X_j + Z with unit noise and
+    input covariance k, and the Schur complements Var(Y | X_j) =
+    s - |(K1)_j|^2 / K_jj: O(N^2) from the row sums K1. Raises ValueError
+    if some K_jj or some Var(Y | X_j) is <= 0."""
+    rows = k.sum(axis=1)
+    s = 1.0 + float(rows.sum().real)
+    d = k.diagonal().real
+    if np.any(d <= 0.0):
+        raise ValueError("K_jj must be positive to condition on sender j")
+    loo = s - np.abs(rows) ** 2 / d
+    if not np.all(loo > 0.0):
+        raise ValueError("degenerate conditional variance")
+    return s, loo
 
 
 def dft_matrix(n):

@@ -15,8 +15,8 @@ ladder on the DFT bins:
 
     lambda_1 = (beta^{2n} - 1) / n,   lambda_k = lambda_{k-1} / beta^2.
 
-Cross-identities (sum rule 1 + B'KB = prod beta_j^2 and its leave-one-out
-variant) are exposed as a verification record.
+Cross-identities (the output variance 1 + B'KB = prod beta_j^2 and its
+leave-one-out variant) are exposed as a verification record.
 
 No linear recursion T(X) = F X F' + Q is stepped here: one doubling kernel
 serves the information-form Riccati solution, the stationary Lyapunov
@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-from .matrix_core import as_matrix, circulant_from_eigs, spectral_radius
+from .matrix_core import (as_matrix, circulant_from_eigs, hermitian_psd,
+                          output_variances, spectral_radius)
 
 # doubling solves stop once a doubling changes the sum by less than this
 # share of it (Frobenius norms)
@@ -106,16 +107,6 @@ def _riccati_map(K, A, B):
     return (out + out.conj().T) / 2
 
 
-def _check_psd_hermitian(k0):
-    k0 = as_matrix(k0, square=True)
-    if np.max(np.abs(k0 - k0.conj().T)) > 1e-10 * max(1.0, np.abs(k0).max()):
-        raise ValueError("k0 must be Hermitian")
-    eig_min = float(np.min(np.linalg.eigvalsh((k0 + k0.conj().T) / 2)))
-    if eig_min < -1e-10 * max(1.0, np.abs(k0).max()):
-        raise ValueError(f"k0 must be positive-semidefinite (min eig {eig_min})")
-    return k0, eig_min
-
-
 def dare_iterate(sys, k0, max_iter=DALE_MAX_DOUBLINGS):
     """Solve the Riccati equation by doubling its information form.
 
@@ -154,10 +145,9 @@ def dare_iterate(sys, k0, max_iter=DALE_MAX_DOUBLINGS):
             residual exceeds 1e-8 of |G|.
     """
     A, B = sys.A, sys.B
-    k0, eig_min = _check_psd_hermitian(k0)
+    k0, eig_min = hermitian_psd(k0, "k0")
     if k0.shape[0] != sys.n:
         raise ValueError("k0 dimension does not match the system")
-    k0 = k0.astype(complex)
     if eig_min <= 1e-12 * max(1.0, np.abs(k0).max()):
         k0 = k0 + np.eye(sys.n)
     m0 = np.linalg.inv(k0)
@@ -285,12 +275,11 @@ def dale_solve(f, q, max_iter=DALE_MAX_DOUBLINGS):
     spectral_radius(f) < 1; max_iter caps the number of doublings.
     """
     f = as_matrix(f, square=True)
-    q, _ = _check_psd_hermitian(q)
+    q, _ = hermitian_psd(q, "q")
     rad = spectral_radius(f)
     if rad >= 1.0:
         raise SolverError(f"Lyapunov solve requires a stable f; "
                           f"spectral radius is {rad:.6f}")
-    q = (q + q.conj().T) / 2
     for doubled, (_, _, S, _, dS) in enumerate(_doublings(f, q)):
         if np.linalg.norm(dS) <= DOUBLING_RTOL * np.linalg.norm(S):
             return S
@@ -308,29 +297,20 @@ class RiclemCheck:
 
 
 def riclem_verify(sol, sys):
-    """Check the sum identities satisfied by the Riccati solution.
+    """Check the sum identities satisfied by the Riccati solution: the
+    output variance and the conditional output variances at G.
 
-    (a) 1 + B'GB = prod_j beta_j^2.
-    (b) for each row m, with sigma_m the m-th row sum:
-        1 + B_m' G B_m - |sigma_m - G_mm|^2 / G_mm = prod_{j != m} beta_j^2,
-        where B_m is the all-ones column with entry m zeroed.
+    (a) Var(Y) = 1 + B'GB = prod_j beta_j^2.
+    (b) Var(Y | X_m) = Var(Y) - |(GB)_m|^2 / G_mm = prod_{j != m} beta_j^2.
+        For Hermitian G this Schur complement equals the row form
+        1 + B_m'GB_m - |sigma_m - G_mm|^2 / G_mm, with sigma_m the m-th row
+        sum and B_m the all-ones column with entry m zeroed.
 
-    Returns both residuals; each should be at machine level for a valid
-    solution.
+    Both hold for unequal betas. Returns the absolute residuals; each
+    should be at machine level for a valid solution.
     """
-    G = sol.G
-    n = sys.n
-    B = sys.B
-    prod_all = float(np.prod(np.asarray(sys.betas) ** 2))
-    res_a = abs(1.0 + (B.conj().T @ G @ B).real.item() - prod_all)
-    res_b = 0.0
-    for m in range(n):
-        bm = np.ones((n, 1), dtype=complex)
-        bm[m] = 0.0
-        sigma = G[m, :].sum()
-        gmm = G[m, m].real
-        val = 1.0 + (bm.conj().T @ G @ bm).real.item() \
-            - (abs(sigma - G[m, m]) ** 2) / gmm
-        target = prod_all / (sys.betas[m] ** 2)
-        res_b = max(res_b, abs(val - target))
-    return RiclemCheck(residual_a=res_a, residual_b=res_b)
+    s, loo = output_variances(sol.G)
+    beta2 = np.asarray(sys.betas, dtype=float) ** 2
+    prod_all = float(np.prod(beta2))
+    res_b = float(np.max(np.abs(loo - prod_all / beta2)))
+    return RiclemCheck(residual_a=abs(s - prod_all), residual_b=res_b)

@@ -14,8 +14,9 @@ The converse side is covered by evaluators, not proofs: the positive
 quadratic root phi*(gamma, x) of the weighted first-order condition, the
 weight gamma* that makes phi*(gamma*, P) land back on phi(P), the weighted
 combination g = (1-gamma) C1 + gamma C2, Gaussian mutual-information forms
-over explicit covariances, and randomized concavity / dependence-balance
-probes.
+over explicit covariances (read off the output variance and its O(N^2)
+leave-one-out Schur complements), and randomized concavity /
+dependence-balance probes.
 
 Every rate is in bits: each log is a natural log divided by LN2.
 """
@@ -25,14 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
+from .matrix_core import hermitian_psd, output_variances
 
 LN2 = math.log(2.0)
-# bracket width on phi at which solve_phi stops bisecting
-PHI_TOL = 1e-12
-
-
-def _log(x):
-    return math.log(x) / LN2
 
 
 @dataclass(frozen=True)
@@ -79,8 +75,9 @@ def solve_phi(params):
 
     C2 - C1 is positive at phi = 1, negative at phi = N, and strictly
     decreasing in between, so plain bisection is safe. It stops once the
-    bracket on phi is at most PHI_TOL wide. P = 0 short-circuits to the
-    analytic limit phi = 1 with zero capacity.
+    bracket holds two adjacent floats, where the midpoint rounds onto one
+    end (52-58 halvings from [1, N]), so no tolerance on phi is set. P = 0
+    short-circuits to the analytic limit phi = 1 with zero capacity.
     """
     n, p = params.n_senders, params.power
     if p == 0.0:
@@ -89,15 +86,14 @@ def solve_phi(params):
     lo, hi = 1.0, float(n)
     if not (f(lo) >= 0.0 and f(hi) < 0.0):
         raise SolverError(f"no sign change on [1, {n}] for N={n}, P={p}")
-    for _ in range(200):
-        if hi - lo <= PHI_TOL:
+    while True:
+        phi = 0.5 * (lo + hi)
+        if phi in (lo, hi):
             break
-        mid = 0.5 * (lo + hi)
-        if f(mid) >= 0.0:
-            lo = mid
+        if f(phi) >= 0.0:
+            lo = phi
         else:
-            hi = mid
-    phi = 0.5 * (lo + hi)
+            hi = phi
     v1 = c1(params, phi)
     v2 = c2(params, phi)
     return PhiSolution(phi=phi, rho=(phi - 1.0) / (n - 1),
@@ -200,17 +196,12 @@ def g_derivative_check(n, gamma, x):
 
 
 def validate_cov(k):
-    """Check a real symmetric positive-semidefinite covariance and return it."""
-    a = np.asarray(k, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("covariance must be square")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("covariance contains NaN or Inf")
-    if np.max(np.abs(a - a.T)) > 1e-10 * max(1.0, np.abs(a).max()):
-        raise ValueError("covariance must be symmetric")
-    if float(np.min(np.linalg.eigvalsh(a))) < -1e-10 * max(1.0, np.abs(a).max()):
-        raise ValueError("covariance must be positive-semidefinite")
-    return a
+    """Check a real symmetric PSD covariance and return it as floats; a
+    nonzero imaginary part is rejected, not dropped."""
+    a, _ = hermitian_psd(k, "covariance")
+    if np.any(a.imag):
+        raise ValueError("covariance must be real")
+    return a.real.copy()
 
 
 def symmetric_cov(n, x, rho):
@@ -231,39 +222,30 @@ def gaussian_mutual_info(k):
 def gaussian_conditional_mi(k, j):
     """I(X(S minus j); Y | X_j) for the same channel.
 
-    Equals 1/2 log of 1 + sum_{i,k != j} K_ik - (sum_{i != j} K_ji)^2 / K_jj.
+    Equals 1/2 log Var(Y | X_j), the Schur complement
+    1 + sum_ik K_ik - (sum_i K_ij)^2 / K_jj.
     """
-    return _conditional_mi(validate_cov(k), j)
+    a = validate_cov(k)
+    if not 0 <= j < a.shape[0]:
+        raise ValueError("sender index out of range")
+    return float(_conditional_mis(a)[j])
 
 
 # The private forms below take a covariance that validate_cov has already
 # accepted, so each probe runs one eigendecomposition per covariance.
 
 def _mutual_info(a):
-    arg = 1.0 + float(a.sum())
-    if arg <= 0.0:
-        raise ValueError("degenerate output variance")
-    return 0.5 * _log(arg)
+    # 1 + 1'K1 >= 1 for PSD K, with or without a sender of zero power
+    return 0.5 * math.log(1.0 + float(a.sum())) / LN2
 
 
-def _conditional_mi(a, j):
-    n = a.shape[0]
-    if not 0 <= j < n:
-        raise ValueError("sender index out of range")
-    if a[j, j] <= 0.0:
-        raise ValueError("K_jj must be positive to condition on sender j")
-    idx = [i for i in range(n) if i != j]
-    sub = float(a[np.ix_(idx, idx)].sum())
-    cross = float(a[j, idx].sum())
-    arg = 1.0 + sub - cross * cross / a[j, j]
-    if arg <= 0.0:
-        raise ValueError("degenerate conditional variance")
-    return 0.5 * _log(arg)
+def _conditional_mis(a):
+    _, loo = output_variances(a)
+    return 0.5 * np.log(loo) / LN2
 
 
 def _c2(a):
-    n = a.shape[0]
-    return sum(_conditional_mi(a, j) for j in range(n)) / (n - 1)
+    return float(np.sum(_conditional_mis(a))) / (a.shape[0] - 1)
 
 
 def c2_from_cov(k):
@@ -293,5 +275,5 @@ def c2_concavity_probe(k1, k2, t):
     b = validate_cov(k2)
     if a.shape != b.shape:
         raise ValueError("covariances must share a dimension")
-    mix = validate_cov(t * a + (1.0 - t) * b)
-    return _c2(mix) - t * _c2(a) - (1.0 - t) * _c2(b)
+    # a mix of two accepted covariances is PSD by convexity
+    return _c2(t * a + (1.0 - t) * b) - t * _c2(a) - (1.0 - t) * _c2(b)

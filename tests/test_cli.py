@@ -318,9 +318,11 @@ def test_verify_nan_value_fails_its_row(capsys, monkeypatch):
     assert out.splitlines()[-1] == "# 18/19 checks passed"
 
 
-@pytest.mark.parametrize("power", ["500", "1000", "1e6"])
+@pytest.mark.parametrize("power", ["500", "1000", "1e6", "1e8"])
 def test_verify_all_at_high_power_passes_without_warnings(capsys, power):
-    # beta^(-400) K underflowed to 0 in the old 200-step exponent probe
+    # beta^(-400) K underflowed to 0 in the old 200-step exponent probe; at
+    # 1e8 phi's fixed 1e-12 bracket and the absolute bounds on the sum
+    # identities and both power budgets failed four rows
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(["verify", "all", "--n", "2", "--power", power])

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import feedcap.riccati as riccati
 from feedcap.errors import SolverError
 from feedcap.mac_code import beta_for_power, closed_loop, lqg_controller
+from feedcap.matrix_core import output_variances
 from feedcap.riccati import (dale_solve, dare_circulant, dare_iterate,
                              riccati_residual, riclem_verify,
                              symmetric_system)
@@ -306,3 +307,57 @@ def test_doubling_fails_loudly_past_float64(n, beta, match):
     with pytest.raises(SolverError, match=match) as err:
         dare_iterate(symmetric_system(n, beta), np.eye(n))
     assert f"n={n}, beta={beta}" in str(err.value)
+
+
+def _conditional_variances_by_row(G):
+    """1 + B_m'GB_m - |sigma_m - G_mm|^2 / G_mm for each row m, with sigma_m
+    the m-th row sum and B_m the all-ones column with entry m zeroed: the
+    quadratic-form loop the row-sum Schur complements replaced, kept here as
+    a reference for identity (b)."""
+    n = len(G)
+    out = np.empty(n)
+    for m in range(n):
+        bm = np.ones((n, 1))
+        bm[m] = 0.0
+        out[m] = 1.0 + (bm.T @ G @ bm).real.item() \
+            - abs(G[m].sum() - G[m, m]) ** 2 / G[m, m].real
+    return out
+
+
+def _identity_b_cases():
+    for n, power in ((2, 1.0), (3, 2.0), (8, 20.0), (64, 0.1), (64, 20.0)):
+        beta = beta_for_power(n, power)
+        yield (f"circulant n={n} P={power}", dare_circulant(n, beta).G,
+               symmetric_system(n, beta).betas)
+    # the unequal-betas system of test_doubling_with_unequal_betas
+    betas = (1.1, 1.3, 1.6, 2.0)
+    a = np.asarray(betas) * np.exp(1j * np.array([0.0, 1.0, 2.5, 4.0]))
+    sys = SimpleNamespace(A=np.diag(a), B=np.ones((4, 1), dtype=complex),
+                          n=4, beta=None, betas=betas)
+    yield "unequal betas", dare_iterate(sys, np.eye(4)).G, betas
+
+
+def test_identity_b_row_sums_match_the_row_form():
+    for name, G, betas in _identity_b_cases():
+        beta2 = np.square(betas)
+        target = np.prod(beta2) / beta2
+        ref = _conditional_variances_by_row(G)
+        _, loo = output_variances(G)
+        assert np.max(np.abs(loo - ref)) <= 1e-13 * np.max(ref), name
+        check = riclem_verify(SimpleNamespace(G=G),
+                              SimpleNamespace(betas=betas))
+        assert check.residual_b <= 1e-13 * np.prod(beta2), name
+        assert np.max(np.abs(ref - target)) <= 1e-13 * np.prod(beta2), name
+
+
+def test_psd_errors_name_their_argument():
+    skew = np.array([[1.0, 0.5], [0.4, 1.0]])
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+    for call, name in ((lambda m: dale_solve(0.5 * np.eye(2), m), "q"),
+                       (lambda m: dare_iterate(symmetric_system(2, 1.2), m),
+                        "k0")):
+        with pytest.raises(ValueError, match=f"^{name} must be Hermitian"):
+            call(skew)
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be positive-semidefinite"):
+            call(indefinite)

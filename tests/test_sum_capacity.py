@@ -306,9 +306,10 @@ def test_converse_probes_validate_each_covariance_once(monkeypatch):
     m1, m2 = rng.normal(size=(2, 4, 4))
     k1, k2 = m1 @ m1.T + 1e-3 * np.eye(4), m2 @ m2.T + 1e-3 * np.eye(4)
     margin = sc.c2_concavity_probe(k1, k2, 0.25)
-    assert len(calls) == 3          # K1, K2 and their mixture
+    # K1 and K2; their mixture is PSD by convexity and is not re-validated
+    assert len(calls) == 2
     gap = sc.dependence_balance_gap(k1)
-    assert len(calls) == 4
+    assert len(calls) == 3
     # the same arithmetic as the public per-sender forms
     mix = 0.25 * k1 + 0.75 * k2
 
@@ -323,3 +324,65 @@ def test_gamma_star_requires_interior_phi():
     # at phi values that zero the denominator the weight does not exist
     with pytest.raises((SolverError, ValueError)):
         gamma_star(MacParams(n_senders=2, power=1.0), 0.0)
+
+
+def _conditional_mis_by_sender(k):
+    """1/2 log2(1 + sum_{i,l != j} K_il - (sum_{i != j} K_ji)^2 / K_jj), one
+    sender at a time by index sets: the per-sender form the row-sum Schur
+    complements replaced, kept here as a reference."""
+    n = len(k)
+    out = []
+    for j in range(n):
+        idx = [i for i in range(n) if i != j]
+        sub = k[np.ix_(idx, idx)].sum()
+        cross = k[j, idx].sum()
+        out.append(0.5 * math.log2(1.0 + sub - cross * cross / k[j, j]))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 64), st.integers(0, 2 ** 32 - 1))
+def test_row_sum_forms_match_the_per_sender_index_form(n, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, n)) * rng.uniform(0.1, 3.0, size=n)
+    k = m @ m.T + 1e-3 * np.eye(n)
+    ref = _conditional_mis_by_sender(k)
+    assert c2_from_cov(k) == pytest.approx(sum(ref) / (n - 1), rel=1e-12)
+    j = int(rng.integers(n))
+    assert gaussian_conditional_mi(k, j) == pytest.approx(ref[j], rel=1e-12)
+
+
+def test_conditional_mi_rejects_a_sender_outside_the_range():
+    # a negative index must not wrap around to the last sender
+    for j in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            gaussian_conditional_mi(np.eye(3), j)
+
+
+def test_complex_covariance_is_rejected_not_truncated():
+    # a Hermitian PSD matrix, but not a real covariance: dropping the
+    # imaginary part would evaluate the identity instead
+    k = [[1.0, 0.9j], [-0.9j, 1.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for probe in (validate_cov, gaussian_mutual_info, c2_from_cov,
+                      dependence_balance_gap,
+                      lambda a: gaussian_conditional_mi(a, 0)):
+            with pytest.raises(ValueError, match="covariance must be real"):
+                probe(k)
+        accepted = validate_cov(np.eye(2, dtype=complex))
+    assert accepted.dtype == float and np.array_equal(accepted, np.eye(2))
+
+
+@pytest.mark.parametrize("n,power", [(2, 1e-9), (2, 1.0), (3, 2.0),
+                                     (2, 1e8), (64, 20.0)])
+def test_solve_phi_ends_on_adjacent_floats(n, power):
+    # the bisection runs until the bracket holds two neighbouring floats,
+    # so C2 - C1 changes sign between phi and one of its neighbours
+    params = MacParams(n_senders=n, power=power)
+    phi = solve_phi(params).phi
+    f = lambda x: c2(params, x) - c1(params, x)
+    if f(phi) >= 0.0:
+        assert f(np.nextafter(phi, n)) < 0.0
+    else:
+        assert f(np.nextafter(phi, 1.0)) >= 0.0

@@ -184,7 +184,7 @@ def exact_mse(sys, ctrl, n_steps):
     return sys.beta ** (-2.0 * n_steps) * K.diagonal().real
 
 
-def exact_trajectory_stats(sys, ctrl, n_steps, noise_var=1.0):
+def exact_trajectory_stats(sys, ctrl, n_steps):
     """Exact covariances under the same timing simulate() uses.
 
     Step 1 is pure state amplification K_1 = sym(A K_0 A') (Y_0 = 0); noise
@@ -198,8 +198,8 @@ def exact_trajectory_stats(sys, ctrl, n_steps, noise_var=1.0):
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     K, K_sum = _trajectory_sums(closed_loop(sys, ctrl),
-                                noise_var * (sys.B @ sys.B.conj().T),
-                                _first_cov(sys), n_steps)
+                                sys.B @ sys.B.conj().T, _first_cov(sys),
+                                n_steps)
     k_diag = K.diagonal().real
     powers = (np.abs(ctrl.gains) ** 2) * K_sum.diagonal().real / n_steps
     return ExactStats(
@@ -223,11 +223,11 @@ def exact_step_table(sys, ctrl, n_steps):
         yield i, sys.beta ** (-2.0 * i) * diag, gains_sq * diag
 
 
-def _run_chunk(sys, ctrl, n_steps, seed, chunk, count, noise_var):
+def _run_chunk(sys, ctrl, n_steps, seed, chunk, count):
     n = sys.n
     a = sys.a_diag
     u, z = chunk_draws(seed, chunk, (count, n, 2), (count, n_steps, 2),
-                       math.sqrt(noise_var / 2.0))
+                       math.sqrt(0.5))
     S = u[..., 0] + 1j * u[..., 1] - CENTER
     noise = z[..., 0] + 1j * z[..., 1]
     y = np.zeros((count, 1), dtype=complex)
@@ -245,7 +245,7 @@ def _run_chunk(sys, ctrl, n_steps, seed, chunk, count, noise_var):
     return (np.abs(S) ** 2).sum(axis=0), powers
 
 
-def simulate(sys, ctrl, n_steps, trials, seed, noise_var=1.0, threads=1):
+def simulate(sys, ctrl, n_steps, trials, seed, threads=1):
     """Monte Carlo run of the code over trials independent messages.
 
     Trials run in fixed 1024-trial chunks, each drawing its messages and
@@ -265,7 +265,7 @@ def simulate(sys, ctrl, n_steps, trials, seed, noise_var=1.0, threads=1):
     check_seed(seed)
     parts = map_chunks(
         lambda chunk, count: _run_chunk(sys, ctrl, n_steps, seed, chunk,
-                                        count, noise_var),
+                                        count),
         trials, threads)
     final_sq = np.zeros(sys.n)
     pow_acc = np.zeros(sys.n)

@@ -24,17 +24,10 @@ def check_seed(seed):
 
 
 def chunk_draws(seed, chunk, msg_shape, noise_shape, noise_std):
-    """Uniform(0, 1) messages, then N(0, noise_std^2) noise, for one chunk.
-
-    The noise is all zeros when noise_std is 0; the messages are the same
-    either way.
-    """
+    """Uniform(0, 1) messages, then N(0, noise_std^2) noise, for one chunk."""
     key = (int(seed) & ((1 << 64) - 1)) | (int(chunk) << 64)
     g = np.random.Generator(np.random.Philox(key=key))
-    u = g.random(size=msg_shape)
-    z = g.normal(0.0, noise_std, size=noise_shape) if noise_std > 0 \
-        else np.zeros(noise_shape)
-    return u, z
+    return g.random(size=msg_shape), g.normal(0.0, noise_std, size=noise_shape)
 
 
 def map_chunks(run, trials, threads=1):

@@ -270,8 +270,13 @@ def entropy_rate(s_z):
     """Entropy rate of the stationary Gaussian source with spectrum S_Z.
 
     (1/2pi) integral of 1/2 log(2 pi e S_Z); a unit white spectrum gives
-    1/2 log(2 pi e).
+    1/2 log(2 pi e). An Arma1Spectrum with |alpha| = 1 vanishes on the
+    circle, a log singularity the grid cannot settle, and raises.
     """
+    if isinstance(s_z, Arma1Spectrum) and abs(s_z.alpha) == 1.0:
+        raise SolverError("entropy rate needs |alpha| < 1: S_Z vanishes on "
+                          f"the circle at alpha={s_z.alpha} (convention "
+                          f"{s_z.convention})")
 
     def integrand(om):
         s = s_z.density(om)
@@ -297,8 +302,9 @@ class SkSimReport:
     rng_algorithm: str = RNG_ALGORITHM
 
 
-def sk_recursion_simulate(power, n_steps, seed, trials=10000, noise_var=1.0):
-    """Simulate the scalar recursion X_i = beta (X_{i-1} - a Y_{i-1}).
+def sk_recursion_simulate(power, n_steps, seed, trials=10000):
+    """Simulate the scalar recursion X_i = beta (X_{i-1} - a Y_{i-1}), where
+    Y_i = X_i + Z_i with unit-variance Gaussian noise Z_i.
 
     beta = sqrt(1 + P), a = (beta^2 - 1)/beta^2; the real message is uniform
     on (0, 1), mapped to X_1 = sqrt(12 P) (M - 1/2) so the transmit power is
@@ -318,8 +324,7 @@ def sk_recursion_simulate(power, n_steps, seed, trials=10000, noise_var=1.0):
     scale = math.sqrt(12.0 * power)
 
     def run_chunk(chunk, count):
-        m, z = chunk_draws(seed, chunk, (count,), (count, n_steps),
-                           math.sqrt(noise_var))
+        m, z = chunk_draws(seed, chunk, (count,), (count, n_steps), 1.0)
         x = scale * (m - 0.5)
         traj = np.empty(n_steps)
         sq_x = 0.0

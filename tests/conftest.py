@@ -1,9 +1,21 @@
-"""Frozen reference values for the test suite.
+"""Frozen reference values for the test suite, and the noiseless stand-in
+for the Monte Carlo draws.
 
-Computed once with an independent 50-digit bisection/series script and
-pinned here so the library under test never generates its own expected
-values.
+The values were computed once with an independent 50-digit
+bisection/series script and pinned here so the library under test never
+generates its own expected values.
 """
+import numpy as np
+
+from feedcap.montecarlo import chunk_draws
+
+
+def noiseless_draws(seed, chunk, msg_shape, noise_shape, noise_std):
+    """chunk_draws with the channel noise zeroed. The messages are drawn
+    before the noise, so they are the ones the noisy run uses."""
+    u, _ = chunk_draws(seed, chunk, msg_shape, noise_shape, noise_std)
+    return u, np.zeros(noise_shape)
+
 
 # unique root of the capacity crossing in [1, N], keyed by (N, P)
 PHI = {

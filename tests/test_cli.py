@@ -1,6 +1,8 @@
+import importlib
 import inspect
 import json
 import math
+import pkgutil
 import re
 import subprocess
 import sys
@@ -11,7 +13,7 @@ import pytest
 
 import feedcap
 from conftest import PHI, SUMCAP_BITS
-from feedcap.cli import main
+from feedcap.cli import build_parser, main
 from feedcap.mac_code import beta_for_power
 
 
@@ -131,20 +133,21 @@ def test_removed_options_exit_2(capsys, argv):
 
 
 def _library_functions():
-    from feedcap import p2p_gaussian, sum_capacity
-    for mod in (sum_capacity, p2p_gaussian):
+    for info in pkgutil.iter_modules(feedcap.__path__, "feedcap."):
+        mod = importlib.import_module(info.name)
         for name, obj in vars(mod).items():
             if inspect.isfunction(obj) and obj.__module__ == mod.__name__:
                 yield f"{mod.__name__}.{name}", obj
-    for name in feedcap.__all__:
-        obj = getattr(feedcap, name)
-        if inspect.isfunction(obj):
-            yield f"feedcap.{name}", obj
 
 
 def test_no_function_takes_base_or_tol():
-    offenders = [name for name, fn in _library_functions()
-                 if {"base", "tol"} & set(inspect.signature(fn).parameters)]
+    # bits, tolerances, unit channel noise and the doubling cap are fixed
+    removed = {"base", "tol", "noise_var", "max_iter"}
+    functions = dict(_library_functions())
+    assert {"feedcap.cli.main", "feedcap.montecarlo.chunk_draws",
+            "feedcap.riccati.dale_solve"} <= set(functions)
+    offenders = [name for name, fn in functions.items()
+                 if removed & set(inspect.signature(fn).parameters)]
     assert offenders == []
 
 
@@ -332,6 +335,22 @@ def test_verify_all_at_high_power_passes_without_warnings(capsys, power):
     assert [row[0] for row in verify_rows(captured.out)] == ["PASS"] * 19
 
 
+@pytest.mark.parametrize("n, power", [("2", "1e-9"), ("2", "1e-6"),
+                                      ("2", "1e10"), ("2", "1e12"),
+                                      ("8", "1e-9")])
+def test_verify_mutual_information_row_at_the_power_edges(capsys, n, power):
+    # at most 256 steps at low power (it ran about 1/P steps, minutes at
+    # 1e-6), one at high power (two cancelled against beta^4), and the
+    # residual is judged relative to the target information
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        main(["verify", "all", "--n", n, "--power", power])
+    rows = verify_rows(capsys.readouterr().out)
+    mi = [row for row in rows if row[1] == "mutual information identity"]
+    assert [row[0] for row in mi] == ["PASS"]
+    assert mi[0][3] == 1e-9
+
+
 def test_verify_converse_passes(capsys):
     code, out = run_main(capsys, "verify", "converse", "--n", "2",
                          "--power", "1")
@@ -371,6 +390,36 @@ def test_sweep_capacity_increases_with_power(capsys):
     caps = [float(r.split(",")[4]) for r in out.strip().splitlines()[2:]]
     assert len(caps) == 12
     assert all(a < b for a, b in zip(caps, caps[1:]))
+
+
+@pytest.mark.parametrize("old, new", [
+    ([], ["--n-list", "2", "--powers", "1"]),
+    (["--n", "3", "--power", "2"], ["--n-list", "3", "--powers", "2"]),
+], ids=["defaults", "n-and-power"])
+def test_sweep_old_spellings_print_the_same_bytes(capsys, old, new):
+    # --n and --power are gone; argparse takes them as prefixes of --n-list
+    # and --powers, so the old single-value spellings still work
+    args = build_parser().parse_args(["sweep"] + old)
+    assert set(vars(args)) == {"subcommand", "func", "n_list", "powers"}
+    code_old, out_old = run_main(capsys, "sweep", *old)
+    code_new, out_new = run_main(capsys, "sweep", *new)
+    assert code_old == code_new == 0
+    assert out_old == out_new
+    assert out_old.splitlines()[2].startswith(new[1] + ",")
+
+
+@pytest.mark.parametrize("argv", [["--n-list", "2.5"], ["--n-list", "2:6:4"],
+                                  ["--n", "2.5"], ["--n-list", "nan"],
+                                  ["--powers", "abc"], ["--powers", "1:2"]])
+def test_sweep_range_usage_errors_exit_2(capsys, argv):
+    # 2:6:4 is N = 2, 3.33, 4.67, 6; no N is truncated to an integer, and
+    # a range that does not parse is a usage error on either axis
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep"] + argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert repr(argv[1]) in captured.err
 
 
 def test_sweep_empty_range_header_only(capsys):

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import BETA_2_1, PHI, SUMCAP_BITS
-from feedcap.mac_code import (CENTER, MESSAGE_VAR, asymptotic_powers,
+import feedcap.mac_code as mac_code
+from conftest import BETA_2_1, PHI, SUMCAP_BITS, noiseless_draws
+from feedcap.mac_code import (CENTER, MESSAGE_VAR, _first_cov,
+                              asymptotic_powers,
                               beta_for_power, build_system, closed_loop,
                               closed_loop_radius, decode, encode_step,
                               exact_mse,
@@ -15,7 +17,8 @@ from feedcap.mac_code import (CENTER, MESSAGE_VAR, asymptotic_powers,
                               mutual_info_identity_check, simulate,
                               stationary_posterior_variances)
 from feedcap.montecarlo import CHUNK, RNG_ALGORITHM, chunk_draws
-from feedcap.riccati import dale_solve, dare_circulant, dare_iterate
+from feedcap.riccati import (_trajectory_sums, dale_solve, dare_circulant,
+                             dare_iterate)
 
 
 def _system(n=2, power=1.0):
@@ -196,20 +199,31 @@ def test_exact_propagation_bitwise_matches_straight_loops(n, n_steps):
     # same terms in another order and is held to rtol 1e-12, not to bits.
     # Without noise K_n decays through cancelling products of F, and the
     # float64 loop itself drifts 1.4e-12 from the true K_50 at N=16; the
-    # loop therefore runs in extended precision here.
+    # loop therefore runs in extended precision here. The channel noise is
+    # fixed at 1, so the noiseless case runs the doubling kernel itself.
     for noise_var in (0.0, 1.0):
         covs = _reference_covs(sys, ctrl, n_steps, noise_var,
                                trajectory=True, dtype=np.clongdouble)
         diag_sum = sum(K.diagonal().real for K in covs)
         mse = scale[-1] * covs[-1].diagonal().real
-        stats = exact_trajectory_stats(sys, ctrl, n_steps, noise_var)
-        np.testing.assert_allclose(stats.per_sender_mse, mse.astype(float),
-                                   rtol=1e-12)
+        if noise_var:
+            stats = exact_trajectory_stats(sys, ctrl, n_steps)
+            got = (stats.per_sender_mse, stats.mse_exponents,
+                   stats.mean_powers)
+        else:
+            K, K_sum = _trajectory_sums(closed_loop(sys, ctrl),
+                                        np.zeros((n, n), dtype=complex),
+                                        _first_cov(sys), n_steps)
+            k_diag = K.diagonal().real
+            got = (scale[-1] * k_diag,
+                   math.log2(sys.beta) - np.log2(k_diag) / (2.0 * n_steps),
+                   gains_sq * K_sum.diagonal().real / n_steps)
+        np.testing.assert_allclose(got[0], mse.astype(float), rtol=1e-12)
         np.testing.assert_allclose(
-            stats.mse_exponents,
-            (-np.log2(mse) / (2.0 * n_steps)).astype(float), rtol=1e-12)
+            got[1], (-np.log2(mse) / (2.0 * n_steps)).astype(float),
+            rtol=1e-12)
         np.testing.assert_allclose(
-            stats.mean_powers, (gains_sq * diag_sum / n_steps).astype(float),
+            got[2], (gains_sq * diag_sum / n_steps).astype(float),
             rtol=1e-12)
 
     covs = _reference_covs(sys, ctrl, n_steps, 1.0, trajectory=True)
@@ -349,12 +363,17 @@ def test_simulate_validation():
         simulate(sys, ctrl, 5, 10, seed=1 << 64)
 
 
-def test_simulate_noiseless_matches_exact_propagation():
+def test_simulate_noiseless_matches_exact_propagation(monkeypatch):
+    # the exact side is the noiseless straight loop
+    monkeypatch.setattr(mac_code, "chunk_draws", noiseless_draws)
     sys, ctrl = _system(2, 1.0)
-    stats = exact_trajectory_stats(sys, ctrl, 10, noise_var=0.0)
-    rep = simulate(sys, ctrl, 10, 4000, seed=11, noise_var=0.0)
-    assert np.allclose(rep.per_sender_mse, stats.per_sender_mse, rtol=0.05)
-    assert np.allclose(rep.empirical_powers, stats.mean_powers, rtol=0.05)
+    covs = _reference_covs(sys, ctrl, 10, 0.0, trajectory=True)
+    mse = sys.beta ** -20.0 * covs[-1].diagonal().real
+    powers = (np.abs(ctrl.gains) ** 2
+              * sum(K.diagonal().real for K in covs) / 10)
+    rep = simulate(sys, ctrl, 10, 4000, seed=11)
+    assert np.allclose(rep.per_sender_mse, mse, rtol=0.05)
+    assert np.allclose(rep.empirical_powers, powers, rtol=0.05)
 
 
 def test_asymptotic_powers_equal_riccati_diagonal():

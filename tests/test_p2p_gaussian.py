@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import HALF_LOG2_2PIE
+import feedcap.p2p_gaussian as p2p_gaussian
+from conftest import HALF_LOG2_2PIE, noiseless_draws
 from feedcap.errors import SolverError
 from feedcap.montecarlo import CHUNK, RNG_ALGORITHM, chunk_draws
 from feedcap.p2p_gaussian import (Arma1Spectrum, WHITE, ZpkFilter,
@@ -287,6 +288,21 @@ def test_entropy_rate_constant_spectrum():
         HALF_LOG2_2PIE + math.log2(1.7), abs=1e-9)
 
 
+@pytest.mark.parametrize("convention", ["squared", "as-written"])
+@pytest.mark.parametrize("alpha", [-1.0, 1.0])
+def test_entropy_rate_rejects_unit_alpha_before_quadrature(monkeypatch, alpha,
+                                                           convention):
+    # alpha = -1 had failed on the grid node where S_Z is 0, alpha = 1 after
+    # 2^20 points of an unsettled log singularity
+    def no_quadrature(func):
+        raise AssertionError("quadrature ran")
+    monkeypatch.setattr(p2p_gaussian, "periodic_integral", no_quadrature)
+    s = Arma1Spectrum(alpha=alpha, pole_coef=0.3, convention=convention)
+    with pytest.raises(SolverError,
+                       match=rf"alpha={alpha} \(convention {convention}\)"):
+        entropy_rate(s)
+
+
 def test_entropy_rate_arma_szego():
     # both monic minimum-phase factors have zero log integral, so the
     # colored spectrum keeps the white entropy rate
@@ -354,11 +370,12 @@ def test_sk_relative_mse_tracks_closed_form():
     assert rep.relative_mse == pytest.approx(2.0 ** (-30.0), rel=0.2)
 
 
-def test_sk_noiseless_exact_decay():
+def test_sk_noiseless_exact_decay(monkeypatch):
     # without noise the error amplitude shrinks by beta^{-2} per step, so
     # the relative MSE ratio between horizons is an exact power of beta
-    r5 = sk_recursion_simulate(3.0, 5, seed=1, trials=4, noise_var=0.0)
-    r10 = sk_recursion_simulate(3.0, 10, seed=1, trials=4, noise_var=0.0)
+    monkeypatch.setattr(p2p_gaussian, "chunk_draws", noiseless_draws)
+    r5 = sk_recursion_simulate(3.0, 5, seed=1, trials=4)
+    r10 = sk_recursion_simulate(3.0, 10, seed=1, trials=4)
     assert r10.relative_mse / r5.relative_mse == pytest.approx(2.0 ** (-20.0),
                                                                rel=1e-9)
 

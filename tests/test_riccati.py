@@ -1,5 +1,6 @@
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +40,35 @@ def test_circulant_rejects_bad_beta(beta):
     # beta^{2n} overflows float64 at beta = 1e200
     with pytest.raises(ValueError, match="beta"):
         dare_circulant(3, beta)
+
+
+def _cauchy_inverse(n, beta):
+    """G = M^{-1} in 60 digits for the Cauchy matrix M_jk = 1/(conj(a_j)
+    a_k - 1) = sum_t conj(a_j)^{-t} a_k^{-t}, a_j = beta omega_j: the
+    information-form limit, for the same float beta."""
+    with mpmath.workdps(60):
+        a = [mpmath.mpf(beta) * mpmath.expjpi(mpmath.mpf(2 * j) / n)
+             for j in range(n)]
+        m = mpmath.matrix(n, n)
+        for j in range(n):
+            for k in range(n):
+                m[j, k] = 1 / (mpmath.conj(a[j]) * a[k] - 1)
+        g = m ** -1
+        return np.array([[complex(g[j, k]) for k in range(n)]
+                         for j in range(n)])
+
+
+@pytest.mark.parametrize("n, power", [(2, 1e-9), (2, 1e-6), (2, 1e-4),
+                                      (2, 1.0), (2, 1e8), (3, 2.0),
+                                      (3, 1e10), (8, 1e-9), (8, 1e-3),
+                                      (16, 20.0)])
+def test_circulant_matches_high_precision_inverse(n, power):
+    # beta^{2n} - 1 cancels at low power: that form of lambda_1 was 4.4e-11
+    # off at (2, 1e-6) and 7.5e-10 at (2, 1e-9)
+    beta = beta_for_power(n, power)
+    ref = _cauchy_inverse(n, beta)
+    G = dare_circulant(n, beta).G
+    assert np.linalg.norm(G - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -92,10 +122,11 @@ def test_dare_iterate_rejects_bad_seeds():
         dare_iterate(sys, np.eye(3))                             # wrong size
 
 
-def test_dare_iterate_iteration_cap():
+def test_dare_iterate_iteration_cap(monkeypatch):
+    monkeypatch.setattr(riccati, "DALE_MAX_DOUBLINGS", 3)
     sys = symmetric_system(2, 1.2)
     with pytest.raises(SolverError):
-        dare_iterate(sys, np.eye(2), max_iter=3)
+        dare_iterate(sys, np.eye(2))
 
 
 @settings(max_examples=25, deadline=None)
@@ -126,11 +157,12 @@ def test_dale_matches_direct_sum():
     assert np.linalg.norm(k - (f @ k @ f.conj().T + q)) <= 1e-9
 
 
-def test_solver_errors_name_size_and_loop():
+def test_solver_errors_name_size_and_loop(monkeypatch):
+    monkeypatch.setattr(riccati, "DALE_MAX_DOUBLINGS", 3)
     with pytest.raises(SolverError, match=r"size 2, spectral radius 0\.5"):
-        dale_solve(0.5 * np.eye(2), np.eye(2), max_iter=3)
+        dale_solve(0.5 * np.eye(2), np.eye(2))
     with pytest.raises(SolverError, match=r"n=3"):
-        dare_iterate(symmetric_system(3, 1.2), np.eye(3), max_iter=3)
+        dare_iterate(symmetric_system(3, 1.2), np.eye(3))
 
 
 def _lyapunov_loop(f, q):

@@ -342,7 +342,9 @@ def _solver_checks(n, power, seed):
          np.max([rc.residual_a, rc.residual_b]) / beta ** (2 * n), 1e-13),
         ("Riccati diagonal equals the power budget",
          np.max(np.abs(closed.G.diagonal().real - power)) / power, 1e-9),
-        ("closed loop stable", closed_loop_radius(sysm, ctrl), 1.0 - 1e-12),
+        # (radius - 1/beta) / (1 - 1/beta) <= 0.5 still implies radius < 1
+        ("closed loop stable", (closed_loop_radius(sysm, ctrl) - 1.0 / beta)
+         / -math.expm1(-math.log1p(beta - 1.0)), 0.5),
         ("asymptotic powers equal the budget",
          np.max(np.abs(pw - power)) / power, 1e-9),
         ("sum rate n log2(beta) equals capacity",
@@ -400,7 +402,8 @@ def _parse_range(text):
         return []
     if ":" in text:
         start, stop, count = text.split(":")
-        return list(np.linspace(float(start), float(stop), int(count)))
+        return [float(v) for v in
+                np.linspace(float(start), float(stop), int(count))]
     return [float(tok) for tok in text.split(",")]
 
 

@@ -62,19 +62,39 @@ class ExactStats:
 
 
 def lqg_controller(sys):
-    """Stabilizing gains C = (B'GB + 1)^{-1} B'GA from the Riccati solution.
-
-    G has constant row sums, so B'G = lambda_1 B' and every gain has the
-    same magnitude lambda_1 beta / (1 + n lambda_1).
+    """Stabilizing gains C = (B'GB + 1)^{-1} B'GA, read off the circulant
+    Riccati ladder: B'G = lambda_1 B', so C = lambda_1 a / (1 + n lambda_1)
+    with a = diag(A) and lambda_1 formed as in dare_circulant. A - BC then
+    has its eigenvalues at the mirror images 1/conj(a_j); _certify_stable
+    shows them inside the unit circle, or raises SolverError.
     """
-    G = dare_circulant(sys.n, sys.beta).G
-    s = 1.0 + (sys.B.conj().T @ G @ sys.B).real.item()
-    gains = np.asarray(sys.B.conj().T @ G @ sys.A).ravel() / s
-    ctrl = LinearController(gains=gains)
-    rad = closed_loop_radius(sys, ctrl)
-    if rad >= 1.0:
-        raise SolverError(f"controller failed to stabilize: radius {rad}")
-    return ctrl
+    lam1 = np.expm1(2 * sys.n * np.log1p(sys.beta - 1.0)) / sys.n
+    gains = lam1 / (1.0 + sys.n * lam1) * sys.a_diag
+    _certify_stable(sys, gains)
+    return LinearController(gains=gains)
+
+
+def _certify_stable(sys, gains):
+    """Raise SolverError unless every eigenvalue of A - B gains lies inside
+    the unit circle, in O(N log N). For A = beta diag(w_j), w_j the n-th
+    roots of unity, the loop's characteristic polynomial p differs from
+    q(z) = z^n - beta^{-n}, its value at the optimal gains, by sum_k beta^k
+    d_k z^{n-k} (k = 1..n), d_k = sum_j (gains_j / a_j) w_j^k (one inverse
+    FFT), less 1 - beta^{-2n} at k = n. If sum_k beta^k (|d_k| + n eps), a
+    rounding floor added, is below 1 - beta^{-n} <= |q| on |z| = 1,
+    Rouche's theorem puts every root of p inside the unit circle.
+    """
+    n, log_beta = sys.n, np.log1p(sys.beta - 1.0)
+    d = n * np.fft.ifft(gains / sys.a_diag)
+    d[0] += np.expm1(-2 * n * log_beta)          # d_n, as w_j^n = 1
+    gap = np.exp(log_beta * np.arange(1, n + 1)) @ (
+        np.abs(np.roll(d, -1)) + n * np.finfo(float).eps)
+    margin = -np.expm1(-n * log_beta)
+    if not gap < margin:
+        raise SolverError(
+            f"controller not certified stable (n={n}, beta={sys.beta}): its "
+            f"loop polynomial is {gap:.3e} from z^n - beta^-n on the unit "
+            f"circle, where 1 - beta^-n = {margin:.3e}")
 
 
 def closed_loop(sys, ctrl):

@@ -58,28 +58,28 @@ def output_variances(k):
 def dft_matrix(n):
     """Unitary n-point DFT matrix Q with Q_jk = exp(-2*pi*i*j*k/n)/sqrt(n).
 
-    Indices j, k run from 0; Q is symmetric and Q @ Q.conj().T = I.
+    Indices j, k run from 0; Q is symmetric and Q @ Q.conj().T = I. The
+    phase takes j*k mod n, exact in integers, so no digits are lost to it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return np.exp(-2j * np.pi * j * k / n) / np.sqrt(n)
+    return np.exp(-2j * np.pi * (j * k % n) / n) / np.sqrt(n)
 
 
 def circulant_from_eigs(eigs):
-    """Circulant matrix with the given eigenvalue list.
-
-    Builds Q diag(eigs) Q' with Q the unitary DFT matrix, so eigenvalue k
-    sits on the k-th DFT frequency bin. Each row of the result is a cyclic
-    shift of the previous one.
+    """Circulant matrix Q diag(eigs) Q' with Q = dft_matrix(n): eigenvalue
+    k sits on the k-th DFT bin, and entry (j, k) is c[(j - k) mod n] with
+    c = fft(eigs)/n, so each row is a cyclic shift of the previous one.
     """
     lam = np.asarray(eigs, dtype=complex).ravel()
     if lam.size == 0:
         raise ValueError("eigenvalue list must be non-empty")
     if not np.all(np.isfinite(lam)):
         raise ValueError("eigenvalues contain NaN or Inf")
-    q = dft_matrix(lam.size)
-    return q @ np.diag(lam) @ q.conj().T
+    c = np.fft.fft(lam) / lam.size
+    idx = np.arange(lam.size)
+    return c[(idx[:, None] - idx) % lam.size]
 
 
 def spectral_radius(m):

@@ -18,9 +18,9 @@ ladder on the DFT bins:
 Cross-identities (the output variance 1 + B'KB = prod beta_j^2 and its
 leave-one-out variant) are exposed as a verification record.
 
-No linear recursion T(X) = F X F' + Q is stepped here: one doubling kernel
-serves the information-form Riccati solution, the stationary Lyapunov
-solution and the exact covariances at a horizon, in O(N^3) per doubling.
+No linear recursion T(X) = F X F' + Q is stepped here: one doubling kernel,
+O(N^3) per doubling and O(N^2) for a diagonal F, serves the information-form
+Riccati solution, the Lyapunov solution and the horizon covariances.
 """
 import math
 from dataclasses import dataclass
@@ -117,7 +117,7 @@ def dare_iterate(sys, k0):
     so one Riccati step maps M = K^{-1} to A^{-H} (M + B B') A^{-1}: the
     linear recursion T(M) = f M f' + q with f = A^{-H}, q = f B B' f',
     driven by the stable A^{-1}. The doubling kernel gives its runs
-    T^m(M_0) = S_m + f^m M_0 f'^m, so 2^k Riccati steps cost k doublings.
+    T^m(M_0) = S_m + f^m M_0 f'^m, so 2^k steps cost k O(N^2) doublings.
     They stop once a doubling changes M by less than DOUBLING_RTOL of it.
     The limit is M = sum_{t>=1} A^{-Ht} B B' A^{-t} and G = M^{-1}; this
     route never uses the DFT ladder of the closed form.
@@ -130,7 +130,7 @@ def dare_iterate(sys, k0):
     effect on the limit.
 
     Args:
-        sys: MacSystem (or any object with fields A, B, n, beta).
+        sys: MacSystem (or any object with fields A, B, n, beta), A diagonal.
         k0: Hermitian positive-semidefinite start.
 
     Returns:
@@ -144,14 +144,16 @@ def dare_iterate(sys, k0):
             Riccati residual exceeds 1e-8 of |G|.
     """
     A, B = sys.A, sys.B
+    if np.any(A != np.diag(np.diag(A))):
+        raise ValueError("dare_iterate requires a diagonal A")
     k0, eig_min = hermitian_psd(k0, "k0")
     if k0.shape[0] != sys.n:
         raise ValueError("k0 dimension does not match the system")
     if eig_min <= 1e-12 * max(1.0, np.abs(k0).max()):
         k0 = k0 + np.eye(sys.n)
     m0 = np.linalg.inv(k0)
-    f = np.linalg.inv(A).conj().T
-    fb = f @ B
+    f = 1.0 / np.diag(A).conj()         # the diagonal of f = A^{-H}
+    fb = f[:, None] * B
     where = f"(n={sys.n}, beta={sys.beta})"
     # overflow is caught by the finite check below instead of warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -218,8 +220,8 @@ def dare_circulant(n, beta):
 
 def _congruence(p, x):
     """sym(p x p'): the congruence, symmetrized so round-off cannot build
-    up an anti-Hermitian part."""
-    y = p @ x @ p.conj().T
+    up an anti-Hermitian part. A 1-D p stands for diag(p)."""
+    y = p[:, None] * x * p.conj() if p.ndim == 1 else p @ x @ p.conj().T
     return (y + y.conj().T) / 2
 
 
@@ -235,7 +237,7 @@ def _doublings(f, q, x0=None):
         P_2m = P_m P_m.
 
     A run of m steps maps X to S_m + P_m X P_m', so runs compose without
-    stepping: T^m(X) = S_m + P_m X P_m'.
+    stepping: T^m(X) = S_m + P_m X P_m'. A 1-D f stands for diag(f).
     """
     m, P, S, U, dS = 1, f, q, x0, q
     while True:
@@ -244,7 +246,7 @@ def _doublings(f, q, x0=None):
         if U is not None:
             U = U + _congruence(P, U) + m * S
         S = S + dS
-        P = P @ P
+        P = P * P if P.ndim == 1 else P @ P
         m *= 2
 
 
@@ -272,21 +274,26 @@ def dale_solve(f, q):
     doubling.
 
     K = sum_t f^t q f'^t; each doubling squares f and adds the next block
-    of terms, so 2^k terms cost k doublings. Stops once a doubling adds
-    less than DOUBLING_RTOL of K (Frobenius norms). Requires
-    spectral_radius(f) < 1; DALE_MAX_DOUBLINGS caps the number of doublings.
+    of terms, so 2^k terms cost k doublings. Returns K once a doubling adds
+    less than DOUBLING_RTOL of K (Frobenius norms) and |f^m|_F < 1, which
+    shows rho(f) < 1 with no eigensolve; else the SolverError names the
+    size and the radius. DALE_MAX_DOUBLINGS caps the number of doublings.
     """
     f = as_matrix(f, square=True)
     q, _ = hermitian_psd(q, "q")
+    # an unstable f overflows f^m, and with it K: caught as a non-finite |K|
+    with np.errstate(over="ignore", invalid="ignore"):
+        for doubled, (_, P, S, _, dS) in enumerate(_doublings(f, q)):
+            size = np.linalg.norm(S)
+            if (np.linalg.norm(dS) <= DOUBLING_RTOL * size
+                    and np.linalg.norm(P) < 1.0):
+                return S
+            if doubled == DALE_MAX_DOUBLINGS or not np.isfinite(size):
+                break
     rad = spectral_radius(f)
     if rad >= 1.0:
-        raise SolverError(f"Lyapunov solve requires a stable f; "
-                          f"spectral radius is {rad:.6f}")
-    for doubled, (_, _, S, _, dS) in enumerate(_doublings(f, q)):
-        if np.linalg.norm(dS) <= DOUBLING_RTOL * np.linalg.norm(S):
-            return S
-        if doubled == DALE_MAX_DOUBLINGS:
-            break
+        raise SolverError(f"Lyapunov solve requires a stable f; size "
+                          f"{len(f)}, spectral radius is {rad:.6f}")
     raise SolverError(f"Lyapunov doubling did not converge in {doubled} "
                       f"doublings (size {len(f)}, spectral radius {rad:.6f})")
 

@@ -460,3 +460,19 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_sweep_config_echo_is_the_same_for_both_range_spellings(capsys):
+    _, ranged = run_main(capsys, "sweep", "--n-list", "2", "--powers", "1:2:2")
+    _, listed = run_main(capsys, "sweep", "--n-list", "2", "--powers", "1,2")
+    assert ranged.splitlines()[0] == listed.splitlines()[0] \
+        == "# config: n=[2] powers=[1.0, 2.0]"
+
+
+def test_verify_closed_loop_row_passes_at_low_power(capsys):
+    # the radius is 1/beta = 1 - 5e-13 here, which the old rule
+    # radius <= 1 - 1e-12 failed; the row now reads it against 1/beta
+    main(["verify", "all", "--n", "2", "--power", "1e-12"])
+    rows = verify_rows(capsys.readouterr().out)
+    row = [r for r in rows if r[1] == "closed loop stable"]
+    assert [r[0] for r in row] == ["PASS"] and row[0][3] == 0.5

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import feedcap.mac_code as mac_code
 from conftest import BETA_2_1, PHI, SUMCAP_BITS, noiseless_draws
+from feedcap.errors import SolverError
 from feedcap.mac_code import (CENTER, MESSAGE_VAR, _first_cov,
                               asymptotic_powers,
                               beta_for_power, build_system, closed_loop,
@@ -439,3 +441,60 @@ def test_exact_mse_transient_gap_decays():
         b = exact_trajectory_stats(sys, ctrl, n_steps).per_sender_mse
         gap.append(np.max(np.abs(np.log(a) - np.log(b))))
     assert gap[1] < gap[0]
+
+
+GRID_N = [2, 3, 8, 16, 64]
+GRID_P = [1e-9, 1e-6, 0.1, 1.0, 20.0, 1e8, 1e12]
+
+
+@pytest.mark.parametrize("n", GRID_N)
+@pytest.mark.parametrize("power", GRID_P)
+def test_mirror_image_certificate_across_the_power_range(n, power):
+    sys = build_system(n, beta_for_power(n, power))
+    beta = sys.beta
+    ctrl = lqg_controller(sys)          # certifies, or raises SolverError
+    # the eigvals route: the radius sits at the mirror-image radius 1/beta,
+    # within half the margin 1 - 1/beta (the `verify` row's rule)
+    margin = -math.expm1(-math.log1p(beta - 1.0))
+    assert (closed_loop_radius(sys, ctrl) - 1.0 / beta) / margin <= 0.5
+    # a gain row scaled by 1 - 2/(beta^n + 1) puts the loop's roots on
+    # |z|^n = 2 - beta^-n > 1: eigvals sees it, and the certificate refuses
+    bad = ctrl.gains * (1.0 - 2.0 / (beta ** n + 1.0))
+    assert closed_loop_radius(sys, mac_code.LinearController(bad)) > 1.0
+    where = re.escape(f"(n={n}, beta={beta})")
+    with pytest.raises(SolverError, match=where):
+        mac_code._certify_stable(sys, bad)
+
+
+@pytest.mark.parametrize("n, beta", [(2, 1e50), (64, 10.0)])
+def test_certificate_refuses_loops_float64_cannot_place(n, beta):
+    # rounding the gains and poles moves the roots by about eps beta^n; the
+    # float64 loop is unstable at both points (eigvals reads more than 1).
+    # At (2, 1e50) the gains' own deviation cancels to exactly 0, so only
+    # the rounding floor n eps beta^k refuses it
+    sys = build_system(n, beta)
+    lam1 = np.expm1(2 * n * np.log1p(beta - 1.0)) / n
+    gains = lam1 / (1.0 + n * lam1) * sys.a_diag
+    assert closed_loop_radius(sys, mac_code.LinearController(gains)) > 1.0
+    with pytest.raises(SolverError, match="not certified stable"):
+        lqg_controller(sys)
+
+
+def test_a_design_point_runs_no_eigensolve(monkeypatch):
+    calls = []
+    real = np.linalg.eigvals
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return real(a)
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    for n, power in ((3, 2.0), (64, 20.0)):
+        beta = beta_for_power(n, power)
+        sys = build_system(n, beta)
+        dare_circulant(n, beta)
+        dare_iterate(sys, np.eye(n))
+        asymptotic_powers(sys, lqg_controller(sys))
+    assert calls == []
+    # the workload's own radius is the one eigensolve of a design point
+    closed_loop_radius(sys, lqg_controller(sys))
+    assert calls == [(64, 64)]

@@ -67,3 +67,14 @@ def test_matrix_json_round_trip():
     back = (np.asarray(d["re"]) + 1j * np.asarray(d["im"])).reshape(
         d["rows"], d["cols"])
     assert np.array_equal(m, back)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 31, 64])
+def test_fft_circulant_matches_the_dense_dft_route(n):
+    # the one-FFT circulant against Q diag(lambda) Q' from dft_matrix
+    rng = np.random.default_rng(n)
+    lam = rng.normal(size=n) + 1j * rng.normal(size=n)
+    q = dft_matrix(n)
+    ref = q @ np.diag(lam) @ q.conj().T
+    got = circulant_from_eigs(lam)
+    assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)

@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import mpmath
@@ -144,8 +145,16 @@ def test_dale_scalar_known_value():
 
 
 def test_dale_rejects_unstable():
-    with pytest.raises(SolverError):
-        dale_solve(np.array([[1.01]]), np.array([[1.0]]))
+    # the first sum overflows; the second converges before f^m overflows,
+    # and the guard |f^m| < 1 refuses it. Neither warns, and the radius is
+    # computed only on this path, to name it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f, q in ((np.array([[1.01]]), np.array([[1.0]])),
+                     (np.diag([0.5, 2.0]), np.diag([1.0, 0.0]))):
+            with pytest.raises(SolverError, match=rf"stable f; size {len(f)}"
+                                                  r", spectral radius is"):
+                dale_solve(f, q)
 
 
 def test_dale_matches_direct_sum():
@@ -393,3 +402,10 @@ def test_psd_errors_name_their_argument():
         with pytest.raises(ValueError,
                            match=f"^{name} must be positive-semidefinite"):
             call(indefinite)
+
+
+def test_dare_iterate_rejects_a_non_diagonal_a():
+    sys = SimpleNamespace(A=np.array([[1.5, 0.1], [0.0, -1.5]]),
+                          B=np.ones((2, 1), dtype=complex), n=2, beta=1.5)
+    with pytest.raises(ValueError, match="diagonal A"):
+        dare_iterate(sys, np.eye(2))

@@ -180,6 +180,14 @@ def _sensitivity_csv(f, s_z, points=2048):
         print(f"{om:.10g},{sm:.12g},{sd:.12g},{np.log2(sm):.12g}")
 
 
+def _sk_integral(power, name, integral, b):
+    try:    # the grid needs about 37/P points: 2^20 fails below 3.5e-5
+        return integral(b)
+    except SolverError as exc:
+        raise SolverError(f"p2p sk at P={power}: the {name} integral "
+                          f"failed: {exc}") from None
+
+
 def _cmd_p2p_sk(args, t0):
     f = sk_filter(args.power)
     b = feedback_transform(f)
@@ -193,8 +201,9 @@ def _cmd_p2p_sk(args, t0):
         "poles": [_complex_json(p) for p in f.poles],
         "gain": _complex_json(f.gain),
         "instability": instability(f),
-        "rate_integral": rate_integral(b),
-        "power_integral": power_integral(b, WHITE),
+        "rate_integral": _sk_integral(args.power, "rate", rate_integral, b),
+        "power_integral": _sk_integral(args.power, "power", power_integral,
+                                       b),
         "closed_loop_pole": [_complex_json(p) for p in b.poles],
     }
     return _emit(args, payload, t0)

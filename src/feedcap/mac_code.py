@@ -1,6 +1,7 @@
 """Optimal linear feedback code for the N-sender AWGN multiple access
-channel: LQG controller synthesis, exact covariance propagation, Monte
-Carlo simulation, and the mutual-information identity.
+channel: LQG controller synthesis, the exact covariance layer in closed
+form on the DFT bins, Monte Carlo simulation, and the mutual-information
+identity.
 
 The code is built on the symmetric diagonal system A = beta * diag(omega_j)
 with omega_j the n-th roots of unity and B the all-ones column. Each sender
@@ -27,8 +28,7 @@ import numpy as np
 from .errors import SolverError
 from .montecarlo import RNG_ALGORITHM, check_seed, chunk_draws, map_chunks
 from .matrix_core import spectral_radius
-from .riccati import (MacSystem, _trajectory_sums, dale_solve,
-                      dare_circulant, symmetric_system as build_system)
+from .riccati import dare_circulant, symmetric_system as build_system
 from .sum_capacity import LN2, MacParams, solve_phi
 
 CENTER = 0.5 + 0.5j
@@ -153,79 +153,85 @@ def decode(sys, y_history):
     return -(a ** (-n_steps)) * sh
 
 
-def _message_cov(sys):
-    return np.eye(sys.n, dtype=complex) * MESSAGE_VAR
+def _bin_cycle(sys, ctrl):
+    """(log beta, log|1 - n gamma|, log c) of the loop A - BC, C = gamma a.
 
-
-def _propagate(F, K, Q, n_steps):
-    """Yield K_i = sym(F K_{i-1} F' + Q) for i = 1..n_steps.
-
-    The symmetrized K is the one carried into the next step, which keeps
-    round-off from accumulating an anti-Hermitian part.
+    On the DFT bins v_k = (w_j^k), A v_k = beta v_{k+1}, B = v_0 and
+    C v_k = 0 but at k = n-1: the loop is a cyclic shift, weight beta but
+    w_0 = beta (1 - n gamma) on the wrap. A cycle scales a bin variance by
+    c = beta^(2n) |1 - n gamma|^2 (beta^(-2n) at lqg_controller's gamma);
+    the loop's eigenvalues solve z^n = beta^n (1 - n gamma), so c < 1 is
+    its stability. Raises ValueError unless the gains are gamma diag(A)
+    to a few eps, and SolverError for c >= 1.
     """
-    for _ in range(n_steps):
-        K = F @ K @ F.conj().T + Q
-        K = (K + K.conj().T) / 2
-        yield K
+    n = sys.n
+    ratio = ctrl.gains / sys.a_diag
+    gamma = ratio.mean()
+    if np.max(np.abs(ratio - gamma)) > 8 * np.finfo(float).eps * abs(gamma):
+        raise ValueError("the exact layer needs gains proportional to "
+                         "diag(A): C = gamma diag(A) for one scalar gamma")
+    log_beta = np.log1p(sys.beta - 1.0)
+    x, y = n * gamma.real, n * gamma.imag
+    # log1p while n gamma is small; past 1/2, 1 - x is exact, and a wrap
+    # weight below float64 reads as the smallest normal one
+    log_u = (0.5 * np.log1p(y * y - x * (2.0 - x)) if abs(x) < 0.5 else
+             np.log(max(math.hypot(1.0 - x, y), np.finfo(float).tiny)))
+    log_c = 2.0 * n * log_beta + 2.0 * log_u
+    if not log_c < 0.0:
+        raise SolverError(
+            f"closed loop not stable (n={n}, beta={sys.beta}): its cycle "
+            f"gain beta^(2n) |1 - n gamma|^2 is c = {math.exp(log_c):.6e}")
+    return log_beta, log_u, log_c
 
 
-def _first_cov(sys):
-    """K_1 under simulate()'s timing: step 1 is the open-loop amplification
-    sym(A K_0 A') (Y_0 = 0); noise and feedback enter from step 2 on."""
-    K = sys.A @ _message_cov(sys) @ sys.A.conj().T
-    return (K + K.conj().T) / 2
-
-
-def _trajectory_covs(sys, ctrl, n_steps):
-    """K_1..K_n under simulate()'s timing, one step at a time."""
-    K = _first_cov(sys)
-    yield K
-    yield from _propagate(closed_loop(sys, ctrl), K, sys.B @ sys.B.conj().T,
-                          n_steps - 1)
+def _bin_diagonal(sys, ctrl, start, n_steps):
+    """K_jj after m = 0..n_steps-1 steps of K <- F K F' + BB' from
+    K = start I, F = A - BC, in O(n_steps). K stays circulant, K_jj is the
+    mean of the bin variances, and the noise enters bin 0 as n. Noise
+    injected d steps earlier has grown by g(d) = beta^(2 (d mod n))
+    c^floor(d/n); after m = q n + r steps the start adds
+    start/n c^q beta^(2r) ((n - r) + r |1 - n gamma|^2). Every term is an
+    exp of logs from log1p(beta - 1), and only positive terms are added.
+    """
+    n = sys.n
+    log_beta, log_u, log_c = _bin_cycle(sys, ctrl)
+    q, r = np.divmod(np.arange(n_steps), n)
+    g = np.exp(q * log_c + 2.0 * log_beta * r)
+    k = start / n * g * ((n - r) + r * np.exp(2.0 * log_u))
+    k[1:] += np.cumsum(g[:-1])
+    return k
 
 
 def exact_mse(sys, ctrl, n_steps):
-    """Per-sender MSE from stationary closed-loop covariance propagation.
-
-    Iterates K_i = (A - BC) K_{i-1} (A - BC)' + BB' from the uniform-message
-    diagonal K_0 (1/6 per sender) and returns beta^{-2 n_steps} diag(K_n).
-    The recursion applies the stationary loop from the very first step;
-    simulate() has no feedback term at step 1 (the first output does not
-    exist yet), a transient difference that decays at the closed-loop
-    spectral radius. exact_trajectory_stats propagates that exact timing
-    instead.
+    """Per-sender MSE beta^{-2 n_steps} diag(K_n) under stationary timing:
+    the closed loop and the noise act from step 1, from the uniform-message
+    K_0 = I/6. simulate() has no feedback at step 1 (Y_0 = 0), a transient
+    that exact_trajectory_stats follows and this function does not.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    K = _message_cov(sys)
-    for K in _propagate(closed_loop(sys, ctrl), K, sys.B @ sys.B.conj().T,
-                        n_steps):
-        pass
-    return sys.beta ** (-2.0 * n_steps) * K.diagonal().real
+    k = _bin_diagonal(sys, ctrl, MESSAGE_VAR, n_steps + 1)[-1]
+    return np.full(sys.n, sys.beta ** (-2.0 * n_steps) * k)
 
 
 def exact_trajectory_stats(sys, ctrl, n_steps):
     """Exact covariances under the same timing simulate() uses.
 
-    Step 1 is pure state amplification K_1 = sym(A K_0 A') (Y_0 = 0); noise
-    and feedback enter from step 2 on. K_n and the sum K_1 + ... + K_n come
-    from square-and-multiply doubling of the closed loop, O(N^3 log n).
-    Returns the per-sender MSE beta^{-2n} (K_n)_jj, its exponents
+    Step 1 is pure state amplification K_1 = A K_0 A' = beta^2/6 I
+    (Y_0 = 0); noise and feedback enter from step 2 on. Returns the
+    per-sender MSE beta^{-2n} (K_n)_jj, its exponents
     log2(beta) - log2((K_n)_jj)/(2n) (taken in the log domain, so they stay
     finite after the MSE itself underflows), and the per-sender powers
     averaged over steps 1..n_steps.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    K, K_sum = _trajectory_sums(closed_loop(sys, ctrl),
-                                sys.B @ sys.B.conj().T, _first_cov(sys),
-                                n_steps)
-    k_diag = K.diagonal().real
-    powers = (np.abs(ctrl.gains) ** 2) * K_sum.diagonal().real / n_steps
+    k = _bin_diagonal(sys, ctrl, sys.beta ** 2 * MESSAGE_VAR, n_steps)
     return ExactStats(
-        per_sender_mse=sys.beta ** (-2.0 * n_steps) * k_diag,
-        mse_exponents=math.log2(sys.beta) - np.log2(k_diag) / (2.0 * n_steps),
-        mean_powers=powers)
+        per_sender_mse=np.full(sys.n, sys.beta ** (-2.0 * n_steps) * k[-1]),
+        mse_exponents=np.full(sys.n, math.log2(sys.beta)
+                              - math.log2(k[-1]) / (2.0 * n_steps)),
+        mean_powers=(np.abs(ctrl.gains) ** 2) * k.sum() / n_steps)
 
 
 def exact_step_table(sys, ctrl, n_steps):
@@ -237,10 +243,10 @@ def exact_step_table(sys, ctrl, n_steps):
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    k = _bin_diagonal(sys, ctrl, sys.beta ** 2 * MESSAGE_VAR, n_steps)
     gains_sq = np.abs(ctrl.gains) ** 2
-    for i, K in enumerate(_trajectory_covs(sys, ctrl, n_steps), 1):
-        diag = K.diagonal().real
-        yield i, sys.beta ** (-2.0 * i) * diag, gains_sq * diag
+    for i, k_i in enumerate(k, 1):
+        yield i, np.full(sys.n, sys.beta ** (-2.0 * i) * k_i), gains_sq * k_i
 
 
 def _run_chunk(sys, ctrl, n_steps, seed, chunk, count):
@@ -303,10 +309,14 @@ def simulate(sys, ctrl, n_steps, trials, seed, threads=1):
 
 
 def asymptotic_powers(sys, ctrl):
-    """Stationary per-sender powers |c_j|^2 Kbar_jj from the Lyapunov solution."""
-    F = closed_loop(sys, ctrl)
-    kbar = dale_solve(F, sys.B @ sys.B.conj().T)
-    return (np.abs(ctrl.gains) ** 2) * kbar.diagonal().real
+    """Stationary per-sender powers |c_j|^2 Kbar_jj, from the DFT-bin closed
+    form of the Lyapunov solution: summing g(d) over d >= 0 gives
+    Kbar_jj = (beta^(2n) - 1)/(beta^2 - 1)/(1 - c), which is
+    beta^(2n)/(beta^2 - 1) at lqg_controller's gains."""
+    log_beta, _, log_c = _bin_cycle(sys, ctrl)
+    kbar = (np.expm1(2 * sys.n * log_beta) / np.expm1(2 * log_beta)
+            / -np.expm1(log_c))
+    return (np.abs(ctrl.gains) ** 2) * kbar
 
 
 def stationary_posterior_variances(sys, n_steps):

@@ -263,7 +263,10 @@ def random_stabilized_filter(rng):
         hit = np.flatnonzero(radius < DRAW_RADIUS_MARGIN)
         if hit.size:
             return replace(f, gain=float(DRAW_GAINS[hit[0]]))
-    raise SolverError("no stabilizing gain found after 50 random draws")
+    raise SolverError(
+        "no stabilizing gain found after 50 random draws of poles in "
+        f"[{DRAW_POLE_RANGE[0]}, {DRAW_POLE_RANGE[1]}) for a closed-loop "
+        f"radius below {DRAW_RADIUS_MARGIN}")
 
 
 def entropy_rate(s_z):
@@ -397,5 +400,8 @@ def grid_capacity_search(s_z, power, pole_grid=None, gains_per_pole=2):
                 best = SearchResult(filter=cand, rate=r,
                                     power=g * g * u)
     if best is None:
-        raise SolverError("no feasible filter in the searched family")
+        raise SolverError(
+            f"no feasible filter in the searched family: {s_z!r}, "
+            f"P={power}, grid {len(pole_grid)} poles x {gains_per_pole} "
+            "gains")
     return best

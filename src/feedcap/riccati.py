@@ -20,7 +20,8 @@ leave-one-out variant) are exposed as a verification record.
 
 No linear recursion T(X) = F X F' + Q is stepped here: one doubling kernel,
 O(N^3) per doubling and O(N^2) for a diagonal F, serves the information-form
-Riccati solution, the Lyapunov solution and the horizon covariances.
+Riccati solution and the Lyapunov solution (the code's covariances are
+closed forms on the DFT bins, in mac_code).
 """
 import math
 from dataclasses import dataclass
@@ -158,7 +159,7 @@ def dare_iterate(sys, k0):
     # overflow is caught by the finite check below instead of warning
     with np.errstate(over="ignore", invalid="ignore"):
         prev = m0
-        for doubled, (_, P, S, _, _) in enumerate(
+        for doubled, (_, P, S, _) in enumerate(
                 _doublings(f, fb @ fb.conj().T)):
             M = S + _congruence(P, m0)
             if np.linalg.norm(M - prev) <= DOUBLING_RTOL * np.linalg.norm(M):
@@ -225,48 +226,25 @@ def _congruence(p, x):
     return (y + y.conj().T) / 2
 
 
-def _doublings(f, q, x0=None):
+def _doublings(f, q):
     """Square-and-accumulate doubling of T(X) = f X f' + q.
 
-    Yields (m, P, S, U, dS) for runs of m = 1, 2, 4, ... steps, where
-    P = f^m, S = T^m(0) = sum_{t<m} f^t q f'^t, dS is the term the last
-    doubling added to S (q itself at m = 1) and, when a start x0 is given,
-    U = sum_{t<m} T^t(x0) (None otherwise). A doubling costs O(N^3):
+    Yields (m, P, S, dS) for runs of m = 1, 2, 4, ... steps, where
+    P = f^m, S = T^m(0) = sum_{t<m} f^t q f'^t and dS is the term the last
+    doubling added to S (q itself at m = 1). A doubling costs O(N^3):
 
-        S_2m = S_m + P_m S_m P_m',   U_2m = U_m + P_m U_m P_m' + m S_m,
-        P_2m = P_m P_m.
+        S_2m = S_m + P_m S_m P_m',   P_2m = P_m P_m.
 
     A run of m steps maps X to S_m + P_m X P_m', so runs compose without
     stepping: T^m(X) = S_m + P_m X P_m'. A 1-D f stands for diag(f).
     """
-    m, P, S, U, dS = 1, f, q, x0, q
+    m, P, S, dS = 1, f, q, q
     while True:
-        yield m, P, S, U, dS
+        yield m, P, S, dS
         dS = _congruence(P, S)
-        if U is not None:
-            U = U + _congruence(P, U) + m * S
         S = S + dS
         P = P * P if P.ndim == 1 else P @ P
         m *= 2
-
-
-def _trajectory_sums(f, q, x0, n_steps):
-    """(K_n, K_1 + ... + K_n) for K_1 = x0 and K_i = f K_{i-1} f' + q, in
-    O(N^3 log n): square-and-multiply over the bits of n - 1.
-
-    The accumulated run of m steps holds V = T^m(x0) and U = sum_{t<m}
-    T^t(x0); a doubled run of M steps is applied on top of it as
-    V <- S_M + P_M V P_M' and U <- U_M + P_M U P_M' + m S_M.
-    """
-    m, V, U = 0, x0, np.zeros_like(x0)
-    rest = n_steps - 1
-    for M, P, S, U_M, _ in _doublings(f, q, x0):
-        if rest & 1:
-            V, U = S + _congruence(P, V), U_M + _congruence(P, U) + m * S
-            m += M
-        rest >>= 1
-        if not rest:
-            return V, U + V
 
 
 def dale_solve(f, q):
@@ -283,7 +261,7 @@ def dale_solve(f, q):
     q, _ = hermitian_psd(q, "q")
     # an unstable f overflows f^m, and with it K: caught as a non-finite |K|
     with np.errstate(over="ignore", invalid="ignore"):
-        for doubled, (_, P, S, _, dS) in enumerate(_doublings(f, q)):
+        for doubled, (_, P, S, dS) in enumerate(_doublings(f, q)):
             size = np.linalg.norm(S)
             if (np.linalg.norm(dS) <= DOUBLING_RTOL * size
                     and np.linalg.norm(P) < 1.0):

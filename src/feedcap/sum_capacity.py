@@ -142,20 +142,16 @@ def gamma_star(params, phi):
         gamma* = (N-1)(1 + P phi (N - phi))
                  / [ (N-1)(1 + P phi (N - phi)) + (2 phi - N)(1 + N P phi) ].
 
-    The denominator stays positive for roots phi in [1, N]; a nonpositive
-    denominator is reported as a failure rather than returning a negative
-    weight.
+    For roots phi in [1, N] the numerator and the denominator are both
+    positive, so gamma* > 0; a phi where either is not raises SolverError.
     """
     n, p = params.n_senders, params.power
     num = (n - 1.0) * (1.0 + p * phi * (n - phi))
     den = num + (2.0 * phi - n) * (1.0 + n * p * phi)
-    if den <= 0.0:
-        raise SolverError(
-            f"no valid weight: denominator {den:.3e} at N={n}, P={p}, phi={phi}")
-    g = num / den
-    if g < 0.0:
-        raise SolverError(f"no valid weight: gamma* = {g:.3e} is negative")
-    return g
+    if not (num > 0.0 and den > 0.0):
+        raise SolverError(f"no valid weight: numerator {num:.3e}, denominator "
+                          f"{den:.3e} at N={n}, P={p}, phi={phi}")
+    return num / den
 
 
 def g_value(n, gamma, x):

@@ -241,6 +241,16 @@ def test_p2p_sk(capsys):
     assert pay["power_integral"] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_p2p_sk_low_power_floor(capsys):
+    # the grid needs about 37/P points: 1.2e6 at 3e-5, past the 2^20 cap,
+    # and 9.3e5 at 4e-5, within it
+    assert main(["p2p", "sk", "--power", "3e-5"]) == 3
+    err = capsys.readouterr().err
+    assert "P=3e-05" in err and "the power integral failed" in err
+    pay = envelope(capsys, "p2p", "sk", "--power", "4e-5")["payload"]
+    assert pay["power_integral"] == pytest.approx(4e-5, rel=1e-3)
+
+
 def test_p2p_sk_csv(capsys):
     code, out = run_main(capsys, "p2p", "sk", "--power", "1", "--csv")
     assert code == 0

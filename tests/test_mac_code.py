@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import feedcap.mac_code as mac_code
+import feedcap.riccati as riccati
 from conftest import BETA_2_1, PHI, SUMCAP_BITS, noiseless_draws
 from feedcap.errors import SolverError
-from feedcap.mac_code import (CENTER, MESSAGE_VAR, _first_cov,
+from feedcap.mac_code import (CENTER, MESSAGE_VAR, LinearController,
                               asymptotic_powers,
                               beta_for_power, build_system, closed_loop,
                               closed_loop_radius, decode, encode_step,
@@ -19,8 +20,7 @@ from feedcap.mac_code import (CENTER, MESSAGE_VAR, _first_cov,
                               mutual_info_identity_check, simulate,
                               stationary_posterior_variances)
 from feedcap.montecarlo import CHUNK, RNG_ALGORITHM, chunk_draws
-from feedcap.riccati import (_trajectory_sums, dale_solve, dare_circulant,
-                             dare_iterate)
+from feedcap.riccati import dale_solve, dare_circulant, dare_iterate
 
 
 def _system(n=2, power=1.0):
@@ -166,43 +166,78 @@ def test_exact_step_table_consistent_with_stats():
 
 def _reference_covs(sys, ctrl, n_steps, noise_var, trajectory,
                     dtype=complex):
-    """K_1..K_n by the straight loop: stationary timing applies the closed
-    loop from step 1; trajectory timing makes step 1 the open-loop
-    amplification A K_0 A'. dtype sets the working precision."""
-    A = sys.A.astype(dtype)
-    F = closed_loop(sys, ctrl).astype(dtype)
-    BBt = (sys.B @ sys.B.conj().T).astype(dtype)
+    """K_1..K_n by the straight loop K <- F K F' + noise_var BB',
+    F = A - BC: stationary timing applies the closed loop from step 1;
+    trajectory timing makes step 1 the open-loop amplification A K_0 A'.
+    F K F' is expanded over the diagonal A and the rank-one BC, O(N^2) a
+    step; dtype sets the working precision."""
+    a = sys.a_diag.astype(dtype)
+    c = ctrl.gains.astype(dtype)
+    aa = a[:, None] * a.conj()
     K = np.eye(sys.n, dtype=dtype) * MESSAGE_VAR
     out = []
     for i in range(1, n_steps + 1):
         if trajectory and i == 1:
-            K = A @ K @ A.conj().T
+            K = aa * K
         else:
-            K = F @ K @ F.conj().T + noise_var * BBt
+            # F K F' = A K A' - u B' - B u' + (C K C') BB', u = A K C'
+            u = a * (K @ c.conj())
+            K = (aa * K - u[:, None] - u.conj()
+                 + (c @ K @ c.conj() + noise_var))
         K = (K + K.conj().T) / 2
         out.append(K)
     return out
 
 
+def _dense_doubling(f, q, x0, n_steps):
+    """(K_n, K_1 + ... + K_n) for K_1 = x0 and K_i = f K_{i-1} f' + q, by
+    square-and-multiply doubling over the bits of n - 1, O(N^3 log n): the
+    dense route the library ran before its DFT-bin closed form.
+
+    A run of M steps holds P = f^M, S = T^M(0) and W = sum_{t<M} T^t(x0);
+    the accumulated run of m steps, V = T^m(x0) and U = sum_{t<m} T^t(x0),
+    takes a run on top as V <- S + P V P' and U <- W + P U P' + m S.
+    """
+    def cong(p, x):
+        y = p @ x @ p.conj().T
+        return (y + y.conj().T) / 2
+
+    M, P, S, W = 1, f, q, x0
+    m, V, U = 0, x0, np.zeros_like(x0)
+    rest = n_steps - 1
+    while rest:
+        if rest & 1:
+            V, U = S + cong(P, V), W + cong(P, U) + m * S
+            m += M
+        rest >>= 1
+        W = W + cong(P, W) + M * S
+        S = S + cong(P, S)
+        P = P @ P
+        M *= 2
+    return V, U + V
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 16])
 @pytest.mark.parametrize("n_steps", [1, 2, 50, 300])
 def test_exact_propagation_bitwise_matches_straight_loops(n, n_steps):
-    # the power-1 code; one sender takes the scalar beta = sqrt(1 + P)
+    # the power-1 code; one sender takes the scalar beta = sqrt(1 + P).
+    # The closed form adds bin terms, not the loop's products, so it is
+    # held to the extended-precision straight loop at rtol 1e-12, not to
+    # the bits of a float64 loop. Without noise K_n decays through
+    # cancelling products of F, and the float64 loop itself drifts 1.4e-12
+    # from the true K_50 at N=16. The library has no noiseless route, so
+    # the noiseless case holds the tests' dense doubling to the same bound.
     sys = build_system(n, math.sqrt(2.0) if n == 1 else beta_for_power(n, 1.0))
     ctrl = lqg_controller(sys)
     scale = [sys.beta ** (-2.0 * i) for i in range(1, n_steps + 1)]
     gains_sq = np.abs(ctrl.gains) ** 2
 
-    K = _reference_covs(sys, ctrl, n_steps, 1.0, trajectory=False)[-1]
-    assert np.array_equal(exact_mse(sys, ctrl, n_steps),
-                          scale[-1] * K.diagonal().real)
+    K = _reference_covs(sys, ctrl, n_steps, 1.0, trajectory=False,
+                        dtype=np.clongdouble)[-1]
+    np.testing.assert_allclose(exact_mse(sys, ctrl, n_steps),
+                               (scale[-1] * K.diagonal().real).astype(float),
+                               rtol=1e-12)
 
-    # exact_trajectory_stats doubles instead of stepping, so it sums the
-    # same terms in another order and is held to rtol 1e-12, not to bits.
-    # Without noise K_n decays through cancelling products of F, and the
-    # float64 loop itself drifts 1.4e-12 from the true K_50 at N=16; the
-    # loop therefore runs in extended precision here. The channel noise is
-    # fixed at 1, so the noiseless case runs the doubling kernel itself.
     for noise_var in (0.0, 1.0):
         covs = _reference_covs(sys, ctrl, n_steps, noise_var,
                                trajectory=True, dtype=np.clongdouble)
@@ -213,9 +248,10 @@ def test_exact_propagation_bitwise_matches_straight_loops(n, n_steps):
             got = (stats.per_sender_mse, stats.mse_exponents,
                    stats.mean_powers)
         else:
-            K, K_sum = _trajectory_sums(closed_loop(sys, ctrl),
-                                        np.zeros((n, n), dtype=complex),
-                                        _first_cov(sys), n_steps)
+            K, K_sum = _dense_doubling(closed_loop(sys, ctrl),
+                                       np.zeros((n, n), dtype=complex),
+                                       sys.beta ** 2 * MESSAGE_VAR
+                                       * np.eye(n, dtype=complex), n_steps)
             k_diag = K.diagonal().real
             got = (scale[-1] * k_diag,
                    math.log2(sys.beta) - np.log2(k_diag) / (2.0 * n_steps),
@@ -228,12 +264,120 @@ def test_exact_propagation_bitwise_matches_straight_loops(n, n_steps):
             got[2], (gains_sq * diag_sum / n_steps).astype(float),
             rtol=1e-12)
 
-    covs = _reference_covs(sys, ctrl, n_steps, 1.0, trajectory=True)
     rows = list(exact_step_table(sys, ctrl, n_steps))
     assert [r[0] for r in rows] == list(range(1, n_steps + 1))
     for (step, mse_row, power_row), K, s in zip(rows, covs, scale):
-        assert np.array_equal(mse_row, s * K.diagonal().real)
-        assert np.array_equal(power_row, gains_sq * K.diagonal().real)
+        k_diag = K.diagonal().real
+        np.testing.assert_allclose(mse_row, (s * k_diag).astype(float),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(power_row,
+                                   (gains_sq * k_diag).astype(float),
+                                   rtol=1e-12)
+
+
+def _check_exact_layer(sys, ctrl):
+    """The four exact-layer functions against three routes that never use
+    the DFT bins, at rtol 1e-12: the dense doubling at every horizon, the
+    extended-precision straight loop for every step up to 2000 (300 at
+    N = 64, to keep the test short) and dale_solve for the stationary
+    powers. The MSE is held to rtol where it is a normal float."""
+    n = sys.n
+    F, BBt = closed_loop(sys, ctrl), sys.B @ sys.B.conj().T
+    gains_sq = np.abs(ctrl.gains) ** 2
+    tiny = np.finfo(float).tiny
+    loop = [K.diagonal().real.astype(float) for K in _reference_covs(
+        sys, ctrl, 300 if n == 64 else 2000, 1.0, trajectory=True,
+        dtype=np.clongdouble)]
+    loop_sums = np.cumsum(loop, axis=0)
+    for h in sorted({1, 2, n, n + 1, 300, 2000}):
+        stats = exact_trajectory_stats(sys, ctrl, h)
+        K, K_sum = _dense_doubling(
+            F, BBt, sys.beta ** 2 * MESSAGE_VAR * np.eye(n, dtype=complex), h)
+        refs = [(K.diagonal().real, K_sum.diagonal().real)]
+        if h <= len(loop):
+            refs.append((loop[h - 1], loop_sums[h - 1]))
+        for k_diag, k_sum in refs:
+            np.testing.assert_allclose(stats.per_sender_mse,
+                                       sys.beta ** (-2.0 * h) * k_diag,
+                                       rtol=1e-12, atol=tiny)
+            np.testing.assert_allclose(
+                stats.mse_exponents,
+                math.log2(sys.beta) - np.log2(k_diag) / (2.0 * h), rtol=1e-12)
+            np.testing.assert_allclose(stats.mean_powers,
+                                       gains_sq * k_sum / h, rtol=1e-12)
+        K = _dense_doubling(F, BBt, MESSAGE_VAR * np.eye(n, dtype=complex),
+                            h + 1)[0]
+        np.testing.assert_allclose(exact_mse(sys, ctrl, h),
+                                   sys.beta ** (-2.0 * h) * K.diagonal().real,
+                                   rtol=1e-12, atol=tiny)
+    rows = list(exact_step_table(sys, ctrl, len(loop)))
+    for (step, mse_row, power_row), k_diag in zip(rows, loop):
+        np.testing.assert_allclose(mse_row, sys.beta ** (-2.0 * step) * k_diag,
+                                   rtol=1e-12, atol=tiny)
+        np.testing.assert_allclose(power_row, gains_sq * k_diag, rtol=1e-12)
+    np.testing.assert_allclose(asymptotic_powers(sys, ctrl),
+                               gains_sq * dale_solve(F, BBt).diagonal().real,
+                               rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 64])
+@pytest.mark.parametrize("power", [1e-3, 0.1, 1.0, 20.0])
+def test_bin_closed_form_matches_independent_routes(n, power):
+    beta = math.sqrt(1.0 + power) if n == 1 else beta_for_power(n, power)
+    sys = build_system(n, beta)
+    _check_exact_layer(sys, lqg_controller(sys))
+
+
+@pytest.mark.parametrize("n, power, wrap", [
+    (3, 1.0, 0.5), (3, 1.0, -0.5), (3, 1.0, 0.5j),
+    (8, 0.1, 0.5), (8, 0.1, -0.5), (8, 0.1, 0.8 + 0.4j)])
+def test_bin_closed_form_off_the_optimal_gain(n, power, wrap):
+    # gains gamma diag(A) with 1 - n gamma = wrap beta^-n: the loop's
+    # eigenvalues solve z^n = beta^n (1 - n gamma) = wrap, and the cycle
+    # gain is |wrap|^2 (beta^-2n at the optimum). At (8, 0.1), beta^8 is
+    # 1.44, so 0.8 + 0.4j puts n gamma at 0.45 + 0.28j, a complex gamma
+    # of modulus below 1/2
+    sys = build_system(n, beta_for_power(n, power))
+    ctrl = LinearController((1.0 - wrap * sys.beta ** -n) / n * sys.a_diag)
+    assert closed_loop_radius(sys, ctrl) == pytest.approx(
+        abs(wrap) ** (1.0 / n), rel=1e-12)
+    _check_exact_layer(sys, ctrl)
+
+
+@pytest.mark.parametrize("n", [2, 8, 64])
+@pytest.mark.parametrize("power", [1e-12, 1e-9, 1e-6, 1.0, 1e8, 1e12, 1e16])
+def test_stationary_powers_at_the_optimum_across_the_power_range(n, power):
+    # at lqg_controller's gains c = beta^-2n, and the general stationary
+    # diagonal (beta^2n - 1)/(beta^2 - 1)/(1 - c) is beta^2n/(beta^2 - 1);
+    # 1 - c keeps its digits at low power only if log|1 - n gamma| does.
+    # At P = 1e16, N = 2 the float gains put n gamma at exactly 1
+    sys = build_system(n, beta_for_power(n, power))
+    ctrl = lqg_controller(sys)
+    log_beta = np.log1p(sys.beta - 1.0)
+    kbar = np.exp(2 * n * log_beta) / np.expm1(2 * log_beta)
+    np.testing.assert_allclose(asymptotic_powers(sys, ctrl),
+                               np.abs(ctrl.gains) ** 2 * kbar, rtol=1e-14)
+
+
+def test_exact_layer_refuses_gains_it_cannot_read():
+    sys, ctrl = _system(3, 2.0)
+    calls = (lambda c: exact_trajectory_stats(sys, c, 5),
+             lambda c: list(exact_step_table(sys, c, 5)),
+             lambda c: exact_mse(sys, c, 5),
+             lambda c: asymptotic_powers(sys, c))
+    skew = LinearController(ctrl.gains * (1.0 + 1e-9 * np.arange(3)))
+    # the open loop has c = beta^6; 1 - n gamma = 1.1 beta^-3 gives
+    # c = 1.21, just past the edge
+    unstable = [(np.zeros(3, dtype=complex), sys.beta ** 6),
+                ((1.0 - 1.1 * sys.beta ** -3) / 3 * sys.a_diag, 1.21)]
+    where = re.escape(f"(n=3, beta={sys.beta})")
+    for call in calls:
+        with pytest.raises(ValueError, match="proportional to diag"):
+            call(skew)
+        for gains, c in unstable:
+            with pytest.raises(SolverError,
+                               match=where + ".*" + re.escape(f"c = {c:.6e}")):
+                call(LinearController(gains))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 16, 32])
@@ -478,6 +622,26 @@ def test_certificate_refuses_loops_float64_cannot_place(n, beta):
     assert closed_loop_radius(sys, mac_code.LinearController(gains)) > 1.0
     with pytest.raises(SolverError, match="not certified stable"):
         lqg_controller(sys)
+
+
+def test_the_exact_layer_runs_no_doubling(monkeypatch):
+    calls = []
+    real = riccati._doublings
+
+    def counted(f, q):
+        calls.append(np.shape(f))
+        return real(f, q)
+    monkeypatch.setattr(riccati, "_doublings", counted)
+    for n, power in ((3, 2.0), (64, 20.0)):
+        sys, ctrl = _system(n, power)
+        exact_trajectory_stats(sys, ctrl, 300)
+        list(exact_step_table(sys, ctrl, 300))
+        exact_mse(sys, ctrl, 300)
+        asymptotic_powers(sys, ctrl)
+    assert calls == []
+    # the counter sees the dense Lyapunov route the layer no longer takes
+    dale_solve(closed_loop(sys, ctrl), sys.B @ sys.B.conj().T)
+    assert calls == [(64, 64)]
 
 
 def test_a_design_point_runs_no_eigensolve(monkeypatch):

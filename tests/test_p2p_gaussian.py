@@ -409,6 +409,25 @@ def test_grid_search_colored_noise_runs():
         grid_capacity_search(s, 0.0)
 
 
+def test_grid_search_failure_names_its_inputs():
+    # a pole on the unit circle is skipped, which leaves no candidate
+    s = Arma1Spectrum(alpha=0.5, pole_coef=-0.25, convention="as-written")
+    with pytest.raises(SolverError, match=(
+            r"no feasible filter in the searched family: Arma1Spectrum\("
+            r"alpha=0\.5, pole_coef=-0\.25, convention='as-written'\), "
+            r"P=2\.0, grid 1 poles x 3 gains")):
+        grid_capacity_search(s, 2.0, pole_grid=[1.0], gains_per_pole=3)
+
+
+def test_filter_draw_failure_names_its_range(monkeypatch):
+    # no closed loop has a radius below 0
+    monkeypatch.setattr(p2p_gaussian, "DRAW_RADIUS_MARGIN", 0.0)
+    with pytest.raises(SolverError, match=(
+            r"after 50 random draws of poles in \[1\.05, 2\.0\) for a "
+            r"closed-loop radius below 0\.0")):
+        random_stabilized_filter(np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("gains", [0, 1])
 def test_grid_search_rejects_fewer_than_two_gains(gains):
     with pytest.raises(ValueError, match="gains_per_pole"):

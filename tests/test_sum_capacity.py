@@ -326,6 +326,14 @@ def test_gamma_star_requires_interior_phi():
         gamma_star(MacParams(n_senders=2, power=1.0), 0.0)
 
 
+def test_gamma_star_refuses_a_negative_numerator():
+    # past phi = N the numerator turns negative while the denominator stays
+    # positive: at (2, 1), phi = 10 the quotient would be -79/299
+    with pytest.raises(SolverError, match=r"numerator -7\.900e\+01, "
+                       r"denominator 2\.990e\+02 at N=2, P=1\.0, phi=10"):
+        gamma_star(MacParams(n_senders=2, power=1.0), 10.0)
+
+
 def _conditional_mis_by_sender(k):
     """1/2 log2(1 + sum_{i,l != j} K_il - (sum_{i != j} K_ji)^2 / K_jj), one
     sender at a time by index sets: the per-sender form the row-sum Schur

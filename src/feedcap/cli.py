@@ -180,14 +180,6 @@ def _sensitivity_csv(f, s_z, points=2048):
         print(f"{om:.10g},{sm:.12g},{sd:.12g},{np.log2(sm):.12g}")
 
 
-def _sk_integral(power, name, integral, b):
-    try:    # the grid needs about 37/P points: 2^20 fails below 3.5e-5
-        return integral(b)
-    except SolverError as exc:
-        raise SolverError(f"p2p sk at P={power}: the {name} integral "
-                          f"failed: {exc}") from None
-
-
 def _cmd_p2p_sk(args, t0):
     f = sk_filter(args.power)
     b = feedback_transform(f)
@@ -195,15 +187,18 @@ def _cmd_p2p_sk(args, t0):
         print(f"# config: power={args.power}")
         _sensitivity_csv(f, WHITE)
         return 0
+    try:    # the grid needs about 37/P points: 2^20 fails below 3.5e-5
+        rate, power = rate_integral(b), power_integral(b)
+    except SolverError as exc:
+        raise SolverError(f"p2p sk at P={args.power}: {exc}") from None
     payload = {
         "power": args.power,
         "beta": float(np.sqrt(1.0 + args.power)),
         "poles": [_complex_json(p) for p in f.poles],
         "gain": _complex_json(f.gain),
         "instability": instability(f),
-        "rate_integral": _sk_integral(args.power, "rate", rate_integral, b),
-        "power_integral": _sk_integral(args.power, "power", power_integral,
-                                       b),
+        "rate_integral": rate,
+        "power_integral": power,
         "closed_loop_pole": [_complex_json(p) for p in b.poles],
     }
     return _emit(args, payload, t0)
@@ -341,8 +336,7 @@ def _solver_checks(n, power, seed):
     gs = gamma_star(params, sol.phi)
     return [
         ("capacity functions cross at phi", sol.residual, 1e-9),
-        # relative: the information-form route carries cond(M) = beta^(2n-2)
-        # times round-off of |G|, and |G| grows with the power
+        # relative: |G| grows with the power
         ("Riccati closed form matches iteration",
          np.linalg.norm(closed.G - iterated.G) / np.linalg.norm(closed.G),
          1e-11),

@@ -137,6 +137,16 @@ def periodic_integral(func):
         f"{MAX_QUAD_POINTS} points")
 
 
+def _named_integral(name, func, *inputs):
+    """periodic_integral(func), with its failure re-raised naming the
+    integral and its inputs (formatted only then)."""
+    try:
+        return periodic_integral(func)
+    except SolverError as err:
+        args = ", ".join(map(repr, inputs))
+        raise SolverError(f"{name}({args}): {err}") from err
+
+
 def sk_filter(power):
     """One-pole open loop achieving the feedback capacity over white noise.
 
@@ -203,8 +213,10 @@ def power_integral(b, s_z=WHITE):
     _require_stable(b)
     if b.gain == 0:
         return 0.0
-    return periodic_integral(
-        lambda om: np.abs(b.response(np.exp(1j * om))) ** 2 * s_z.density(om))
+    return _named_integral(
+        "power_integral",
+        lambda om: np.abs(b.response(np.exp(1j * om))) ** 2 * s_z.density(om),
+        b, s_z)
 
 
 def rate_integral(b):
@@ -220,7 +232,7 @@ def rate_integral(b):
                               "the rate integrand is singular")
         return np.log(mag) / LN2
 
-    return periodic_integral(integrand)
+    return _named_integral("rate_integral", integrand, b)
 
 
 def bode_integral(f):
@@ -233,8 +245,10 @@ def bode_integral(f):
         if abs(r) >= 1.0:
             raise SolverError(f"closed loop unstable: characteristic root at "
                               f"{r} (|.| = {abs(r):.6f})")
-    return periodic_integral(
-        lambda om: -np.log(np.abs(1.0 - f.response(np.exp(1j * om)))) / LN2)
+    return _named_integral(
+        "bode_integral",
+        lambda om: -np.log(np.abs(1.0 - f.response(np.exp(1j * om)))) / LN2,
+        f)
 
 
 def random_stabilized_filter(rng):
@@ -287,7 +301,7 @@ def entropy_rate(s_z):
             raise SolverError("spectrum must be positive on the grid")
         return 0.5 * np.log(2.0 * np.pi * np.e * s) / LN2
 
-    return periodic_integral(integrand)
+    return _named_integral("entropy_rate", integrand, s_z)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,9 @@ The Riccati equation solved here is the estimation form
     K = A K A' - A K B (1 + B' K B)^{-1} (A K B)'
 
 whose unique positive-definite solution is the stationary covariance of the
-feedback code. Two independent routes are provided. The information form
-runs the recursion on M = K^{-1}, where it is the linear Stein recursion
-M <- A^{-H} (M + B B') A^{-1} driven by the stable A^{-1}. The closed form
+feedback code. Two independent routes are provided. The Cauchy route
+takes the limit of the information-form recursion on M = K^{-1}, a Cauchy
+matrix in diag(A), and inverts it by its explicit formula. The closed form
 is a circulant construction for the symmetric system (equal gains beta,
 phases at the n-th roots of unity). It carries a geometric eigenvalue
 ladder on the DFT bins:
@@ -18,9 +18,8 @@ ladder on the DFT bins:
 Cross-identities (the output variance 1 + B'KB = prod beta_j^2 and its
 leave-one-out variant) are exposed as a verification record.
 
-No linear recursion T(X) = F X F' + Q is stepped here: one doubling kernel,
-O(N^3) per doubling and O(N^2) for a diagonal F, serves the information-form
-Riccati solution and the Lyapunov solution (the code's covariances are
+No linear recursion T(X) = F X F' + Q is stepped here: the Lyapunov
+solution is a doubling, O(N^3) per doubling (the code's covariances are
 closed forms on the DFT bins, in mac_code).
 """
 import math
@@ -109,86 +108,76 @@ def _riccati_map(K, A, B):
 
 
 def dare_iterate(sys, k0):
-    """Solve the Riccati equation by doubling its information form.
+    """Solve the Riccati equation by the explicit inverse of its Cauchy limit.
 
-    For K positive definite,
+    For K positive definite one Riccati step maps M = K^{-1} to
+    A^{-H} (M + B B') A^{-1}, a linear recursion driven by the stable
+    A^{-1}. From every positive-definite start it reaches
+    M_jk = 1/(conj(a_j) a_k - 1), a = diag(A), which factors as
+    M = C diag(1/a) with the Cauchy matrix C_jk = 1/(x_j - y_k), x = conj(a)
+    and y = 1/a. So G = diag(a) C^{-1}, and C^{-1} has a closed form
+    (Schechter, 1959) with D_jk = x_j - y_k:
 
-        K - K B (1 + B'K B)^{-1} B'K = (K^{-1} + B B')^{-1},
+        (C^{-1})_ij = -u_i v_j / D_ji,
+        u_i = prod_k (-D_ki) / prod_{k != i} (y_i - y_k),
+        v_j = prod_k D_jk / prod_{k != j} (x_j - x_k).
 
-    so one Riccati step maps M = K^{-1} to A^{-H} (M + B B') A^{-1}: the
-    linear recursion T(M) = f M f' + q with f = A^{-H}, q = f B B' f',
-    driven by the stable A^{-1}. The doubling kernel gives its runs
-    T^m(M_0) = S_m + f^m M_0 f'^m, so 2^k steps cost k O(N^2) doublings.
-    They stop once a doubling changes M by less than DOUBLING_RTOL of it.
-    The limit is M = sum_{t>=1} A^{-Ht} B B' A^{-t} and G = M^{-1}; this
+    Every factor is a difference of the data, so G keeps the digits that
+    inverting M (condition number beta^(2(n-1))) would lose. Only the
+    diagonal differences D_jj = (|a_j|^2 - 1)/a_j cancel; they are formed
+    from the betas as expm1(2 log1p(beta_j - 1))/a_j. u and v are products
+    of ratios, which stay near the size of G. Nothing is iterated, and this
     route never uses the DFT ladder of the closed form.
 
-    Converges to the unique positive-definite fixed point from any
-    positive-definite start when every |a_j| > 1. Zero is also a fixed
-    point of the recursion (there is no process noise to re-excite a
-    collapsed covariance), and a singular start can never leave its own
-    range; singular seeds k0 are therefore lifted to k0 + I, which has no
-    effect on the limit.
-
     Args:
-        sys: MacSystem (or any object with fields A, B, n, beta), A diagonal.
-        k0: Hermitian positive-semidefinite start.
+        sys: MacSystem (or any object with fields A, B, n, beta, betas),
+            A diagonal with every |a_j| = beta_j > 1.
+        k0: Hermitian positive-semidefinite start. The limit does not
+            depend on it, so it is only checked.
 
     Returns:
-        DareSolution with the fixed point, the number of doublings taken as
-        `iterations` (they cover 2^iterations Riccati steps) and the
-        Riccati residual.
+        DareSolution with the fixed point, `iterations` 0 (as for the
+        closed form) and the Riccati residual.
 
     Raises:
-        SolverError: if DALE_MAX_DOUBLINGS doublings do not converge, M is
-            singular or G or its residual is not finite in float64, or G's
+        SolverError: if G or its residual is not finite in float64, or G's
             Riccati residual exceeds 1e-8 of |G|.
     """
     A, B = sys.A, sys.B
-    if np.any(A != np.diag(np.diag(A))):
+    a = np.diag(A)
+    if np.any(A != np.diag(a)):
         raise ValueError("dare_iterate requires a diagonal A")
-    k0, eig_min = hermitian_psd(k0, "k0")
+    k0, _ = hermitian_psd(k0, "k0")
     if k0.shape[0] != sys.n:
         raise ValueError("k0 dimension does not match the system")
-    if eig_min <= 1e-12 * max(1.0, np.abs(k0).max()):
-        k0 = k0 + np.eye(sys.n)
-    m0 = np.linalg.inv(k0)
-    f = 1.0 / np.diag(A).conj()         # the diagonal of f = A^{-H}
-    fb = f[:, None] * B
+    x, y = a.conj(), 1.0 / a
     where = f"(n={sys.n}, beta={sys.beta})"
-    # overflow is caught by the finite check below instead of warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        prev = m0
-        for doubled, (_, P, S, _) in enumerate(
-                _doublings(f, fb @ fb.conj().T)):
-            M = S + _congruence(P, m0)
-            if np.linalg.norm(M - prev) <= DOUBLING_RTOL * np.linalg.norm(M):
-                break
-            if doubled == DALE_MAX_DOUBLINGS:
-                raise SolverError(f"Riccati doubling did not converge in "
-                                  f"{doubled} doublings {where}")
-            prev = M
-        try:
-            G = np.linalg.inv(M)
-        except np.linalg.LinAlgError:
-            raise SolverError(
-                f"Riccati information form is singular in float64 {where}"
-            ) from None
+    # overflow and a zero difference are caught by the finite check below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        D = x[:, None] - y
+        np.fill_diagonal(D, np.expm1(
+            2.0 * np.log1p(np.asarray(sys.betas, dtype=float) - 1.0)) / a)
+        # column products: dy[k, i] = y_k - y_i, dx[k, j] = x_j - x_k
+        dy = y[:, None] - y
+        dx = x - x[:, None]
+        np.fill_diagonal(dy, -1.0)
+        np.fill_diagonal(dx, 1.0)
+        u = np.prod(D / dy, axis=0)
+        v = np.prod(D.T / dx, axis=0)
+        G = (a * u)[:, None] * (v / -D.T)
         G = (G + G.conj().T) / 2
         residual = riccati_residual(G, A, B)
         size = np.linalg.norm(G)
     if not (math.isfinite(size) and math.isfinite(residual)):
         raise SolverError("Riccati iteration overflows float64: G or its "
                           f"residual is not finite {where}")
-    # inverting M amplifies its round-off by cond(M), beta^(2(n-1)) on the
-    # symmetric system, and the residual itself cancels to about
-    # eps beta^2 |G|; past either, G cannot be shown to be the fixed point
+    # the residual cancels to about eps beta^2 |G|; past 1e-8 |G| it cannot
+    # show that G is the fixed point
     if residual > 1e-8 * size:
         raise SolverError(
-            "Riccati information form fails its fixed-point check in "
-            f"float64: residual {residual:.3e} against |G| = {size:.3e} "
-            f"{where}")
-    return DareSolution(G=G, iterations=doubled, residual=residual)
+            "Riccati Cauchy inverse fails its fixed-point check in float64: "
+            f"residual {residual:.3e} against |G| = {size:.3e} {where}")
+    return DareSolution(G=G, iterations=0, residual=residual)
 
 
 def dare_circulant(n, beta):

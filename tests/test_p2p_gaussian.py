@@ -440,3 +440,68 @@ def test_grid_search_moving_average_regression():
     best = grid_capacity_search(s, 1.0,
                                 pole_grid=np.linspace(0.0, 0.95, 40))
     assert best.rate == pytest.approx(0.1869228140091332, rel=1e-6)
+
+
+def _integral_cases():
+    b = feedback_transform(sk_filter(1.0))
+    f = sk_filter(1.0)
+    ar = Arma1Spectrum(alpha=0.5, pole_coef=0.2)
+    yield "power_integral", lambda: power_integral(b, ar), [repr(b), repr(ar)]
+    yield "rate_integral", lambda: rate_integral(b), [repr(b)]
+    yield "bode_integral", lambda: bode_integral(f), [repr(f)]
+    yield "entropy_rate", lambda: entropy_rate(ar), [repr(ar)]
+
+
+def test_integral_failures_to_settle_name_the_integral(monkeypatch):
+    # no grid past the first: every integral fails to settle
+    monkeypatch.setattr(p2p_gaussian, "MAX_QUAD_POINTS", 64)
+    for name, call, inputs in _integral_cases():
+        with pytest.raises(SolverError, match="failed to settle") as err:
+            call()
+        assert str(err.value).startswith(f"{name}("), name
+        assert all(x in str(err.value) for x in inputs), name
+        assert "failed to settle" in str(err.value.__cause__)
+
+
+class _InfiniteResponse(ZpkFilter):
+    def response(self, z):
+        return np.full(np.shape(z), np.inf)
+
+
+class _InfiniteSpectrum(Arma1Spectrum):
+    def density(self, omega):
+        return np.full(np.shape(omega), np.inf)
+
+
+def test_non_finite_integrands_name_the_integral():
+    b = _InfiniteResponse(zeros=(), poles=(0.5,), gain=0.1)
+    s = _InfiniteSpectrum(alpha=0.5, pole_coef=0.2)
+    for name, call in (("power_integral", lambda: power_integral(b)),
+                       ("power_integral",
+                        lambda: power_integral(feedback_transform(
+                            sk_filter(1.0)), s)),
+                       ("rate_integral", lambda: rate_integral(b)),
+                       ("bode_integral", lambda: bode_integral(b)),
+                       ("entropy_rate", lambda: entropy_rate(s))):
+        with pytest.raises(SolverError,
+                           match="integrand not finite") as err:
+            call()
+        assert str(err.value).startswith(f"{name}("), name
+
+
+def test_grid_search_skips_rate_integrals_that_fail(monkeypatch):
+    # a rate integral that cannot settle is a skipped candidate, not an
+    # aborted search
+    real = p2p_gaussian.periodic_integral
+    seen = []
+
+    def failing_rates(func):
+        if func.__name__ == "integrand":
+            seen.append(1)
+            if len(seen) % 2:
+                raise SolverError("quadrature failed to settle")
+        return real(func)
+    monkeypatch.setattr(p2p_gaussian, "periodic_integral", failing_rates)
+    best = grid_capacity_search(WHITE, 1.0, pole_grid=[0.5, 0.7])
+    assert len(seen) == 4
+    assert best.rate > 0.0

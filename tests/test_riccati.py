@@ -43,13 +43,13 @@ def test_circulant_rejects_bad_beta(beta):
         dare_circulant(3, beta)
 
 
-def _cauchy_inverse(n, beta):
-    """G = M^{-1} in 60 digits for the Cauchy matrix M_jk = 1/(conj(a_j)
-    a_k - 1) = sum_t conj(a_j)^{-t} a_k^{-t}, a_j = beta omega_j: the
-    information-form limit, for the same float beta."""
-    with mpmath.workdps(60):
-        a = [mpmath.mpf(beta) * mpmath.expjpi(mpmath.mpf(2 * j) / n)
-             for j in range(n)]
+def _mp_inverse(a, digits):
+    """G = M^{-1} in `digits` digits for the Cauchy matrix M_jk =
+    1/(conj(a_j) a_k - 1) = sum_t conj(a_j)^{-t} a_k^{-t}: the
+    information-form limit. a holds mpmath numbers or floats."""
+    n = len(a)
+    with mpmath.workdps(digits):
+        a = [mpmath.mpmathify(z) for z in a]
         m = mpmath.matrix(n, n)
         for j in range(n):
             for k in range(n):
@@ -57,6 +57,15 @@ def _cauchy_inverse(n, beta):
         g = m ** -1
         return np.array([[complex(g[j, k]) for k in range(n)]
                          for j in range(n)])
+
+
+def _cauchy_inverse(n, beta, digits=60):
+    """_mp_inverse for a_j = beta omega_j, the symmetric system at the same
+    float beta, with the phases in `digits` digits."""
+    with mpmath.workdps(digits):
+        a = [mpmath.mpf(beta) * mpmath.expjpi(mpmath.mpf(2 * j) / n)
+             for j in range(n)]
+    return _mp_inverse(a, digits)
 
 
 @pytest.mark.parametrize("n, power", [(2, 1e-9), (2, 1e-6), (2, 1e-4),
@@ -86,7 +95,7 @@ def test_iteration_agrees_with_closed_form(n, beta):
     for k0 in (np.zeros((n, n)), np.eye(n), 10.0 * np.eye(n)):
         it = dare_iterate(sys, k0)
         assert np.linalg.norm(it.G - closed) <= 1e-8
-        assert it.iterations >= 1
+        assert it.iterations == 0
 
 
 def test_scalar_solution_is_snr():
@@ -121,13 +130,6 @@ def test_dare_iterate_rejects_bad_seeds():
         dare_iterate(sys, -np.eye(2))                            # negative
     with pytest.raises(ValueError):
         dare_iterate(sys, np.eye(3))                             # wrong size
-
-
-def test_dare_iterate_iteration_cap(monkeypatch):
-    monkeypatch.setattr(riccati, "DALE_MAX_DOUBLINGS", 3)
-    sys = symmetric_system(2, 1.2)
-    with pytest.raises(SolverError):
-        dare_iterate(sys, np.eye(2))
 
 
 @settings(max_examples=25, deadline=None)
@@ -170,8 +172,6 @@ def test_solver_errors_name_size_and_loop(monkeypatch):
     monkeypatch.setattr(riccati, "DALE_MAX_DOUBLINGS", 3)
     with pytest.raises(SolverError, match=r"size 2, spectral radius 0\.5"):
         dale_solve(0.5 * np.eye(2), np.eye(2))
-    with pytest.raises(SolverError, match=r"n=3"):
-        dare_iterate(symmetric_system(3, 1.2), np.eye(3))
 
 
 def _lyapunov_loop(f, q):
@@ -299,11 +299,68 @@ def test_doubling_with_unequal_betas():
                           n=4, beta=None, betas=tuple(betas))
     sol = dare_iterate(sys, np.eye(4))
     assert np.linalg.norm(sol.G - _cauchy_solution(a)) <= 1e-8
-    assert np.linalg.norm(sol.G - _riccati_loop(sys, np.eye(4))) <= 1e-8
+    for name, k0 in _seeds(4).items():
+        assert np.linalg.norm(dare_iterate(sys, k0).G
+                              - _riccati_loop(sys, k0)) <= 1e-8, name
     assert sol.residual <= 1e-10
     check = riclem_verify(sol, sys)
     assert check.residual_a <= 1e-8
     assert check.residual_b <= 1e-8
+
+
+# the edges of the power range: inverting the information form raised at
+# (8, 1e8), (16, 1e8) and (32, 1e7) and was 2e-9 to 1.7e-4 off at low power
+POWER_EDGES = [(2, 1e-12), (2, 1e-9), (2, 1e-6), (2, 1e-4), (2, 1e8),
+               (2, 1e10), (2, 1e12), (3, 1e10), (8, 1e-9), (16, 1e-12),
+               (8, 1e8), (16, 1e8), (32, 1e7)]
+
+
+@pytest.mark.parametrize("n, power", POWER_EDGES)
+def test_cauchy_route_matches_high_precision_inverse(n, power):
+    beta = beta_for_power(n, power)
+    ref = _cauchy_inverse(n, beta, digits=60 + 4 * n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        G = dare_iterate(symmetric_system(n, beta), np.eye(n)).G
+    assert np.linalg.norm(G - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def test_cauchy_route_on_random_diagonal_systems():
+    # unequal betas and arbitrary phases: a float64 inverse of M is good to
+    # about eps cond(M), the 60-digit one to the last digit
+    rng = np.random.default_rng(27)
+    for trial in range(200):
+        n = int(rng.integers(1, 9))
+        betas = np.exp(rng.uniform(0.01, 1.5, size=n))
+        a = betas * np.exp(1j * rng.uniform(-np.pi, np.pi, size=n))
+        sys = SimpleNamespace(A=np.diag(a), B=np.ones((n, 1), dtype=complex),
+                              n=n, beta=None, betas=tuple(betas))
+        G = dare_iterate(sys, np.eye(n)).G
+        assert np.array_equal(G, G.conj().T), trial
+        cond = np.linalg.cond(1.0 / (np.outer(a.conj(), a) - 1.0))
+        ref = _cauchy_solution(a)
+        assert np.linalg.norm(G - ref) \
+            <= 1e-14 * cond * np.linalg.norm(ref), trial
+        ref = _mp_inverse(a, 60)
+        assert np.linalg.norm(G - ref) <= 1e-14 * np.linalg.norm(ref), trial
+
+
+def test_cauchy_route_runs_no_doubling_and_no_inverse(monkeypatch):
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+    monkeypatch.setattr(riccati, "_doublings",
+                        counted("doublings", riccati._doublings))
+    monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+    for n in (1, 2, 8, 64):
+        dare_iterate(symmetric_system(n, 1.1), np.eye(n))
+    assert calls == []
+    dale_solve(0.5 * np.eye(2), np.eye(2))
+    assert calls == ["doublings"]
 
 
 @pytest.mark.parametrize("n,power", [(62, 16.8), (64, 20.0)])
@@ -316,13 +373,20 @@ def test_former_iteration_cap_points_meet_closed_form(n, power):
 
 
 def test_doubling_meets_closed_form_on_design_grid():
-    # the benchmark's Frobenius check, over N 2-64 x P 0.1-20 on a log grid
-    for n in (2, 4, 8, 16, 32, 64):
-        for power in np.geomspace(0.1, 20.0, 6):
+    # the benchmark's Frobenius check, over N 2-64 x P 0.1-20 on a log grid,
+    # and the power edges, N = 64 included: past the reach of the mpmath
+    # inverse in a short suite
+    grid = [(n, p) for n in (2, 4, 8, 16, 32, 64)
+            for p in np.geomspace(0.1, 20.0, 6)]
+    edges = [(64, 1e-12), (64, 1e-9), (64, 1e8)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, power in grid + edges + POWER_EDGES:
             beta = beta_for_power(n, power)
             sol = dare_iterate(symmetric_system(n, beta), np.eye(n))
-            gap = np.linalg.norm(sol.G - dare_circulant(n, beta).G)
-            assert gap <= 1e-8, (n, power)
+            closed = dare_circulant(n, beta).G
+            assert np.linalg.norm(sol.G - closed) \
+                <= 1e-13 * np.linalg.norm(closed), (n, power)
 
 
 def test_doubling_never_steps_the_riccati_map(monkeypatch):
@@ -334,20 +398,27 @@ def test_doubling_never_steps_the_riccati_map(monkeypatch):
         return real(K, A, B)
     monkeypatch.setattr(riccati, "_riccati_map", counted)
     sol = dare_iterate(symmetric_system(8, 1.05), np.eye(8))
-    # only the residual applies the map; 2^iterations steps are covered
+    # only the residual applies the map
     assert len(calls) == 1
-    assert 2 ** sol.iterations >= 300
+    assert sol.iterations == 0
 
 
 @pytest.mark.parametrize("n,beta,match", [
-    (8, 13.45, "fixed-point check"),        # cond(M) = beta^14, about 1e16
     (1, 3e5, "fixed-point check"),          # the residual cancels
-    (2, 1e77, "singular"),
+    (2, 1e77, "overflows"),                 # G is finite, its residual not
     (1, 1e76, "overflows")])
 def test_doubling_fails_loudly_past_float64(n, beta, match):
     with pytest.raises(SolverError, match=match) as err:
         dare_iterate(symmetric_system(n, beta), np.eye(n))
     assert f"n={n}, beta={beta}" in str(err.value)
+
+
+def test_cauchy_route_solves_past_the_information_form_limit():
+    # inverting M lost cond(M) = beta^14, about 1e16, here and failed the
+    # fixed-point check; the explicit inverse never forms M
+    sol = dare_iterate(symmetric_system(8, 13.45), np.eye(8))
+    closed = dare_circulant(8, 13.45).G
+    assert np.linalg.norm(sol.G - closed) <= 1e-8 * np.linalg.norm(closed)
 
 
 def _conditional_variances_by_row(G):

@@ -45,6 +45,10 @@ from .p2p_gaussian import (WHITE, Arma1Spectrum, ZpkFilter, bode_integral,
                            random_stabilized_filter, rate_integral, sk_filter)
 
 
+NUMERIC_ERRORS = (SolverError, ValueError, ArithmeticError,
+                  np.linalg.LinAlgError)
+
+
 def _complex_json(c):
     return {"re": float(np.real(c)), "im": float(np.imag(c))}
 
@@ -255,28 +259,36 @@ def _cmd_p2p_search(args, t0):
 
 # ---------------------------------------------------------------- verify
 #
-# Each suite returns rows (name, value, tol); _cmd_verify alone judges
-# them. A lower bound x >= -tol enters as the value -x.
+# Each suite returns the values of its rows, in the order of its table of
+# (name, tol); _cmd_verify alone judges them. A lower bound x >= -tol
+# enters as the value -x.
+
+CONVERSE_ROWS = (
+    ("dependence balance zero at optimum", 1e-8),
+    ("dependence balance nonnegative on diagonals", 1e-10),
+    ("conditional-information concavity", 1e-10),
+    ("phi* bounds and monotonicity", 0.0),
+    ("weighted-capacity derivative identity", 1e-5))
+
 
 def _converse_checks(n, power, seed):
     params = MacParams(n_senders=n, power=power)
     sol = solve_phi(params)
     gap = dependence_balance_gap(symmetric_cov(n, power, sol.rho))
+    # drawn one probe at a time, evaluated as one stack per dimension
     rng = np.random.default_rng(seed)
-    diag_gaps = []
+    diags, pairs = {2: [], 3: [], 4: []}, {2: [], 3: [], 4: []}
     for _ in range(200):
         dim = int(rng.integers(2, 5))
-        diag_gaps.append(dependence_balance_gap(
-            np.diag(rng.uniform(0.01, 10.0, size=dim))))
-    margins = []
+        diags[dim].append(np.diag(rng.uniform(0.01, 10.0, size=dim)))
     for _ in range(200):
         dim = int(rng.integers(2, 5))
-        m1 = rng.normal(size=(dim, dim))
-        m2 = rng.normal(size=(dim, dim))
-        for t in (0.25, 0.5, 0.75):
-            margins.append(c2_concavity_probe(
-                m1 @ m1.T + 1e-3 * np.eye(dim),
-                m2 @ m2.T + 1e-3 * np.eye(dim), t))
+        m = rng.normal(size=(2, dim, dim))
+        pairs[dim].append(m @ m.swapaxes(1, 2) + 1e-3 * np.eye(dim))
+    gaps = [dependence_balance_gap(np.array(k)) for k in diags.values()]
+    # K1 and K2 of shape (pairs, 1, dim, dim) against three t: (pairs, 3)
+    margins = [c2_concavity_probe(*np.array(k)[:, :, None].swapaxes(0, 1),
+                                  (0.25, 0.5, 0.75)) for k in pairs.values()]
     bad_points = 0
     deriv = []
     for gamma in np.linspace(1.01, 5.0, 8):
@@ -290,14 +302,24 @@ def _converse_checks(n, power, seed):
             if x > 0:
                 deriv.append(g_derivative_check(n, gamma, x))
     # np.min/np.max, unlike the builtins, carry a NaN through to the row
-    return [
-        ("dependence balance zero at optimum", abs(gap), 1e-8),
-        ("dependence balance nonnegative on diagonals",
-         -np.min(diag_gaps), 1e-10),
-        ("conditional-information concavity", -np.min(margins), 1e-10),
-        ("phi* bounds and monotonicity", float(bad_points), 0.0),
-        ("weighted-capacity derivative identity", np.max(deriv), 1e-5),
-    ]
+    return [abs(gap), -np.min(np.concatenate(gaps)),
+            -np.min(np.concatenate(margins, axis=None)), float(bad_points),
+            np.max(deriv)]
+
+
+SOLVER_ROWS = (
+    ("capacity functions cross at phi", 1e-9),
+    ("Riccati closed form matches iteration", 1e-11),
+    ("Riccati sum identities", 1e-13),
+    ("Riccati diagonal equals the power budget", 1e-9),
+    ("closed loop stable", 0.5),
+    ("asymptotic powers equal the budget", 1e-9),
+    ("sum rate n log2(beta) equals capacity", 1e-9),
+    ("mutual information identity", 1e-9),
+    ("trajectory error identity", 1e-12),
+    ("exponent approaches log2(beta)", 0.01),
+    ("weight round trip", 1e-8),
+    ("weighted value equals capacity", 1e-8))
 
 
 def _solver_checks(n, power, seed):
@@ -335,35 +357,31 @@ def _solver_checks(n, power, seed):
     expo = exact_trajectory_stats(sysm, ctrl, horizon).mse_exponents
     gs = gamma_star(params, sol.phi)
     return [
-        ("capacity functions cross at phi", sol.residual, 1e-9),
+        sol.residual,
         # relative: |G| grows with the power
-        ("Riccati closed form matches iteration",
-         np.linalg.norm(closed.G - iterated.G) / np.linalg.norm(closed.G),
-         1e-11),
+        np.linalg.norm(closed.G - iterated.G) / np.linalg.norm(closed.G),
         # relative: to prod beta^2 = beta^(2n), and to the budget P
-        ("Riccati sum identities",
-         np.max([rc.residual_a, rc.residual_b]) / beta ** (2 * n), 1e-13),
-        ("Riccati diagonal equals the power budget",
-         np.max(np.abs(closed.G.diagonal().real - power)) / power, 1e-9),
+        np.max([rc.residual_a, rc.residual_b]) / beta ** (2 * n),
+        np.max(np.abs(closed.G.diagonal().real - power)) / power,
         # (radius - 1/beta) / (1 - 1/beta) <= 0.5 still implies radius < 1
-        ("closed loop stable", (closed_loop_radius(sysm, ctrl) - 1.0 / beta)
-         / -math.expm1(-math.log1p(beta - 1.0)), 0.5),
-        ("asymptotic powers equal the budget",
-         np.max(np.abs(pw - power)) / power, 1e-9),
-        ("sum rate n log2(beta) equals capacity",
-         abs(n * np.log2(beta) - sol.c1), 1e-9),
-        ("mutual information identity", mutual_info_identity_check(
-            sysm, mi_steps) / (mi_steps * math.log2(beta)), 1e-9),
-        ("trajectory error identity", np.max(traj), 1e-12),
-        ("exponent approaches log2(beta)",
-         np.max(np.abs(expo - math.log2(beta))), 0.01),
-        ("weight round trip", abs(phi_star(n, gs, power) - sol.phi), 1e-8),
-        ("weighted value equals capacity",
-         abs(g_value(n, gs, power) - sol.c1), 1e-8),
+        (closed_loop_radius(sysm, ctrl) - 1.0 / beta)
+        / -math.expm1(-math.log1p(beta - 1.0)),
+        np.max(np.abs(pw - power)) / power,
+        abs(n * np.log2(beta) - sol.c1),
+        mutual_info_identity_check(sysm, mi_steps)
+        / (mi_steps * math.log2(beta)),
+        np.max(traj),
+        np.max(np.abs(expo - math.log2(beta))),
+        abs(phi_star(n, gs, power) - sol.phi),
+        abs(g_value(n, gs, power) - sol.c1),
     ]
 
 
-def _p2p_checks(seed):
+P2P_ROWS = (("one-pole capacity chain", 1e-6),
+            ("sensitivity integral equals instability", 2e-6))
+
+
+def _p2p_checks(_n, _power, seed):
     chain = []
     for p in (0.5, 1.0, 3.0, 10.0):
         f = sk_filter(p)
@@ -376,15 +394,22 @@ def _p2p_checks(seed):
     for _ in range(5):
         f = random_stabilized_filter(rng)
         bode.append(abs(bode_integral(f) - instability(f)))
-    return [("one-pole capacity chain", np.max(chain), 1e-6),
-            ("sensitivity integral equals instability", np.max(bode), 2e-6)]
+    return [np.max(chain), np.max(bode)]
 
 
 def _cmd_verify(args, t0):
-    rows = _converse_checks(args.n, args.power, args.seed)
+    suites = [(CONVERSE_ROWS, _converse_checks)]
     if args.suite == "all":
-        rows += (_solver_checks(args.n, args.power, args.seed)
-                 + _p2p_checks(args.seed))
+        suites += [(SOLVER_ROWS, _solver_checks), (P2P_ROWS, _p2p_checks)]
+    rows, errors = [], []
+    for table, suite in suites:
+        # a suite that raises still prints its rows, as NaN, which fail
+        try:
+            values = suite(args.n, args.power, args.seed)
+        except NUMERIC_ERRORS as exc:
+            values = [math.nan] * len(table)
+            errors.append(exc)
+        rows += [(name, v, tol) for (name, tol), v in zip(table, values)]
     print(f"# verify {args.suite}: n={args.n} power={args.power} "
           f"seed={args.seed}")
     failed = 0
@@ -394,6 +419,8 @@ def _cmd_verify(args, t0):
         print(f"{'PASS' if ok else 'FAIL'} {name}: value={value:.3e} "
               f"tol={tol!r} margin={tol - value:.3e}")
     print(f"# {len(rows) - failed}/{len(rows)} checks passed")
+    for exc in errors:
+        print(f"error: {exc}", file=sys.stderr)
     return 0 if failed == 0 else 3
 
 
@@ -528,8 +555,7 @@ def main(argv=None):
     t0 = time.perf_counter()
     try:
         return args.func(args, t0)
-    except (SolverError, ValueError, ArithmeticError,
-            np.linalg.LinAlgError) as exc:
+    except NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

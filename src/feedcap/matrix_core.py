@@ -25,34 +25,53 @@ def as_matrix(m, square=False):
 
 def hermitian_psd(m, name):
     """(Hermitian part as complex128, smallest eigenvalue) of a Hermitian
-    PSD matrix. Asymmetry and negative eigenvalues pass up to 1e-10
-    max(1, max |m_ij|); past that a ValueError names the argument `name`."""
-    a = as_matrix(m, square=True)
-    tol = 1e-10 * max(1.0, np.abs(a).max())
-    if np.max(np.abs(a - a.conj().T)) > tol:
-        raise ValueError(f"{name} must be Hermitian")
-    h = (a + a.conj().T) / 2
-    eig_min = float(np.linalg.eigvalsh(h)[0])
-    if eig_min < -tol:
-        raise ValueError(
-            f"{name} must be positive-semidefinite (min eig {eig_min})")
-    return h, eig_min
+    PSD matrix, or of each of a stack (..., d, d). Asymmetry and negative
+    eigenvalues pass up to 1e-10 max(1, max |m_ij|) of each matrix; past
+    that a ValueError names the argument `name`, as name[i] in a stack."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix contains NaN or Inf entries")
+    tol = 1e-10 * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    ah = np.swapaxes(a, -1, -2).conj()
+    bad = np.abs(a - ah).max(axis=(-2, -1)) > tol
+    if np.any(bad):
+        raise ValueError(f"{flagged(bad, name)} must be Hermitian")
+    h = (a + ah) / 2
+    eig_min = np.linalg.eigvalsh(h)[..., 0]
+    bad = eig_min < -tol
+    if np.any(bad):
+        raise ValueError(f"{flagged(bad, name)} must be positive-"
+                         f"semidefinite (min eig {float(eig_min[bad][0])})")
+    return h, float_or_stack(eig_min)
+
+
+def flagged(bad, name):
+    """`name`, or name[i] for the first matrix i flagged in a stack."""
+    i = [int(v) for v in np.argwhere(bad)[0]]
+    return f"{name}{i}" if i else name
+
+
+def float_or_stack(x):
+    """One matrix's value (0-d) as a Python float; a stack's as an array."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def output_variances(k):
     """s = Var(Y) = 1 + Re(1'K1) for Y = sum_j X_j + Z with unit noise and
     input covariance k, and the Schur complements Var(Y | X_j) =
-    s - |(K1)_j|^2 / K_jj: O(N^2) from the row sums K1. Raises ValueError
-    if some K_jj or some Var(Y | X_j) is <= 0."""
-    rows = k.sum(axis=1)
-    s = 1.0 + float(rows.sum().real)
-    d = k.diagonal().real
+    s - |(K1)_j|^2 / K_jj: O(N^2) from the row sums K1, per matrix of a
+    stack (..., N, N). Raises ValueError if some K_jj or Var(Y | X_j) <= 0."""
+    rows = k.sum(axis=-1)
+    s = 1.0 + rows.sum(axis=-1).real
+    d = k.diagonal(axis1=-2, axis2=-1).real
     if np.any(d <= 0.0):
         raise ValueError("K_jj must be positive to condition on sender j")
-    loo = s - np.abs(rows) ** 2 / d
+    loo = s[..., None] - np.abs(rows) ** 2 / d
     if not np.all(loo > 0.0):
         raise ValueError("degenerate conditional variance")
-    return s, loo
+    return float_or_stack(s), loo
 
 
 def dft_matrix(n):

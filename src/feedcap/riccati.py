@@ -100,9 +100,14 @@ def riccati_residual(K, A, B):
 
 
 def _riccati_map(K, A, B):
+    # O(N^2): A K scales row j of K by a_j, A K A' then column l by a_l*
+    a = np.diag(A)
+    if np.any(A != np.diag(a)):
+        raise ValueError("the Riccati map requires a diagonal A")
     s = 1.0 + (B.conj().T @ K @ B).real.item()
-    akb = A @ K @ B
-    out = A @ K @ A.conj().T - (akb @ akb.conj().T) / s
+    ak = a[:, None] * K
+    akb = ak @ B
+    out = ak * a.conj() - (akb @ akb.conj().T) / s
     # re-symmetrize each application to suppress round-off drift
     return (out + out.conj().T) / 2
 

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-from .matrix_core import hermitian_psd, output_variances
+from .matrix_core import (flagged, float_or_stack, hermitian_psd,
+                          output_variances)
 
 LN2 = math.log(2.0)
 
@@ -192,11 +193,13 @@ def g_derivative_check(n, gamma, x):
 
 
 def validate_cov(k):
-    """Check a real symmetric PSD covariance and return it as floats; a
+    """Check a real symmetric PSD covariance, or each of a stack (..., N, N)
+    at its own tolerance (hermitian_psd's), and return it as floats; a
     nonzero imaginary part is rejected, not dropped."""
     a, _ = hermitian_psd(k, "covariance")
-    if np.any(a.imag):
-        raise ValueError("covariance must be real")
+    bad = np.any(a.imag != 0, axis=(-2, -1))
+    if np.any(bad):
+        raise ValueError(f"{flagged(bad, 'covariance')} must be real")
     return a.real.copy()
 
 
@@ -222,17 +225,21 @@ def gaussian_conditional_mi(k, j):
     1 + sum_ik K_ik - (sum_i K_ij)^2 / K_jj.
     """
     a = validate_cov(k)
-    if not 0 <= j < a.shape[0]:
+    if not 0 <= j < a.shape[-1]:
         raise ValueError("sender index out of range")
-    return float(_conditional_mis(a)[j])
+    return float_or_stack(_conditional_mis(a)[..., j])
 
 
-# The private forms below take a covariance that validate_cov has already
-# accepted, so each probe runs one eigendecomposition per covariance.
+# The private forms below take covariances, one or a stack, that
+# validate_cov has already accepted: one eigendecomposition per covariance.
+# A stack gives its matrices' one-at-a-time values bit for bit, so the log
+# stays math.log: np.log differs from it in the last bit on ~1 in 7000.
+_log = np.vectorize(math.log, otypes=[float])
+
 
 def _mutual_info(a):
     # 1 + 1'K1 >= 1 for PSD K, with or without a sender of zero power
-    return 0.5 * math.log(1.0 + float(a.sum())) / LN2
+    return float_or_stack(0.5 * _log(1.0 + a.sum(axis=(-2, -1))) / LN2)
 
 
 def _conditional_mis(a):
@@ -241,7 +248,7 @@ def _conditional_mis(a):
 
 
 def _c2(a):
-    return float(np.sum(_conditional_mis(a))) / (a.shape[0] - 1)
+    return float_or_stack(_conditional_mis(a).sum(-1) / (a.shape[-1] - 1))
 
 
 def c2_from_cov(k):
@@ -254,7 +261,8 @@ def dependence_balance_gap(k):
     """C2(K) - I(X(S); Y); nonnegative for covariances feasible for codes.
 
     Zero exactly at the symmetric optimizer (x = P, phi = phi(P)); negative
-    beyond the root, where the bound rules the covariance out.
+    beyond the root, where the bound rules the covariance out. A stack
+    (..., N, N), each matrix at its own tolerance, gives an array.
     """
     a = validate_cov(k)
     return _c2(a) - _mutual_info(a)
@@ -263,13 +271,19 @@ def dependence_balance_gap(k):
 def c2_concavity_probe(k1, k2, t):
     """Concavity margin C2(t K1 + (1-t) K2) - t C2(K1) - (1-t) C2(K2).
 
-    Nonnegative (up to round-off) if C2 is concave along the segment.
+    Nonnegative (up to round-off) if C2 is concave along the segment. K1
+    and K2 may be stacks (..., N, N) of one shape, each matrix at its own
+    tolerance, with t broadcast over the stack: (m, 1, N, N) and three t
+    give (m, 3) margins.
     """
-    if not 0.0 <= t <= 1.0:
+    t = np.asarray(t, dtype=float)
+    if not np.all((0.0 <= t) & (t <= 1.0)):
         raise ValueError("t must lie in [0, 1]")
     a = validate_cov(k1)
     b = validate_cov(k2)
     if a.shape != b.shape:
         raise ValueError("covariances must share a dimension")
     # a mix of two accepted covariances is PSD by convexity
-    return _c2(t * a + (1.0 - t) * b) - t * _c2(a) - (1.0 - t) * _c2(b)
+    w = t[..., None, None]
+    mix = _c2(w * a + (1.0 - w) * b)
+    return float_or_stack(mix - t * _c2(a) - (1.0 - t) * _c2(b))

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import inspect
 import json
@@ -13,8 +14,13 @@ import pytest
 
 import feedcap
 from conftest import PHI, SUMCAP_BITS
+from feedcap import cli
 from feedcap.cli import build_parser, main
+from feedcap.errors import SolverError
 from feedcap.mac_code import beta_for_power
+from feedcap.sum_capacity import (MacParams, c2_concavity_probe,
+                                  dependence_balance_gap, g_derivative_check,
+                                  phi_star, solve_phi, symmetric_cov)
 
 
 def run_main(capsys, *argv):
@@ -411,6 +417,101 @@ def test_verify_converse_passes(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert out.count("PASS") == 5
+
+
+def _converse_checks_per_probe(n, power, seed):
+    """The converse suite's values with one validate_cov, one
+    eigendecomposition and one evaluator call per probe: the route the
+    stacked suite replaced, kept as its reference."""
+    params = MacParams(n_senders=n, power=power)
+    sol = solve_phi(params)
+    gap = dependence_balance_gap(symmetric_cov(n, power, sol.rho))
+    diag_gaps, margins = _probe_values_per_probe(seed)
+    bad_points = 0
+    deriv = []
+    for gamma in np.linspace(1.01, 5.0, 8):
+        prev = None
+        for x in np.linspace(0.0, 10.0, 9):
+            ph = phi_star(n, gamma, x)
+            lo = (n + gamma - 1.0) / (2.0 * gamma)
+            bad_points += not (lo - 1e-12 <= ph < n / 2.0
+                               and (prev is None or ph > prev))
+            prev = ph
+            if x > 0:
+                deriv.append(g_derivative_check(n, gamma, x))
+    return [abs(gap), -np.min(diag_gaps), -np.min(margins),
+            float(bad_points), np.max(deriv)]
+
+
+@functools.cache
+def _probe_values_per_probe(seed):
+    # the probes read the seed only, so each seed's are drawn once
+    rng = np.random.default_rng(seed)
+    diag_gaps = []
+    for _ in range(200):
+        dim = int(rng.integers(2, 5))
+        diag_gaps.append(dependence_balance_gap(
+            np.diag(rng.uniform(0.01, 10.0, size=dim))))
+    margins = []
+    for _ in range(200):
+        dim = int(rng.integers(2, 5))
+        m1 = rng.normal(size=(dim, dim))
+        m2 = rng.normal(size=(dim, dim))
+        for t in (0.25, 0.5, 0.75):
+            margins.append(c2_concavity_probe(
+                m1 @ m1.T + 1e-3 * np.eye(dim),
+                m2 @ m2.T + 1e-3 * np.eye(dim), t))
+    return diag_gaps, margins
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_stacked_converse_suite_matches_one_call_per_probe(seed):
+    for n in (2, 3, 8, 64):
+        for power in (0.1, 2.0, 20.0):
+            got = cli._converse_checks(n, power, seed)
+            assert got == _converse_checks_per_probe(n, power, seed)
+
+
+def test_verify_converse_runs_one_psd_check_per_dimension_group(
+        capsys, monkeypatch):
+    # the package re-exports a function named sum_capacity; take the module
+    sc = importlib.import_module("feedcap.sum_capacity")
+    calls = []
+    real = sc.hermitian_psd
+
+    def counted(m, name):
+        calls.append(np.shape(m))
+        return real(m, name)
+    monkeypatch.setattr(sc, "hermitian_psd", counted)
+    assert main(["verify", "converse"]) == 0
+    # the optimum's covariance, then per dimension 2-4 the diagonal stack
+    # and the two stacks of concavity pairs (1401 one-matrix checks before)
+    assert len(calls) <= 10
+    assert sorted(shape[-1] for shape in calls[1:]) == [2] * 3 + [3] * 3 \
+        + [4] * 3
+
+
+def test_a_suite_that_raises_prints_its_rows_as_failures(capsys,
+                                                         monkeypatch):
+    def broken(sys, k0):
+        raise SolverError("iterate route broke (n=3, beta=1.5)")
+    monkeypatch.setattr(cli, "dare_iterate", broken)
+    code = main(["verify", "all", "--n", "3", "--power", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    rows = verify_rows(captured.out)
+    names = [name for _, name, *_ in rows]
+    assert names == [name for name, _ in cli.CONVERSE_ROWS + cli.SOLVER_ROWS
+                     + cli.P2P_ROWS]
+    solver = set(range(5, 5 + len(cli.SOLVER_ROWS)))
+    for i, (status, _, value, _, margin) in enumerate(rows):
+        if i in solver:
+            assert status == "FAIL" and math.isnan(value) \
+                and math.isnan(margin)
+        else:
+            assert status == "PASS"
+    assert captured.out.splitlines()[-1] == "# 7/19 checks passed"
+    assert captured.err == "error: iterate route broke (n=3, beta=1.5)\n"
 
 
 def test_sweep_golden_row(capsys):

@@ -480,3 +480,28 @@ def test_dare_iterate_rejects_a_non_diagonal_a():
                           B=np.ones((2, 1), dtype=complex), n=2, beta=1.5)
     with pytest.raises(ValueError, match="diagonal A"):
         dare_iterate(sys, np.eye(2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+def test_riccati_map_from_the_diagonal_matches_the_dense_products(n):
+    # A K A' - A K B (1 + B'KB)^{-1} (A K B)' with the dense N x N A, as
+    # the map formed it before reading diag(A)
+    rng = np.random.default_rng(n)
+    a = rng.uniform(1.01, 2.0, size=n) * np.exp(2j * np.pi * rng.random(n))
+    A, B = np.diag(a), np.ones((n, 1), dtype=complex)
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    K = x @ x.conj().T + np.eye(n)
+    s = 1.0 + (B.conj().T @ K @ B).real.item()
+    akb = A @ K @ B
+    ref = A @ K @ A.conj().T - (akb @ akb.conj().T) / s
+    ref = (ref + ref.conj().T) / 2
+    got = riccati._riccati_map(K, A, B)
+    assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
+
+
+def test_riccati_map_rejects_a_non_diagonal_a():
+    A = np.array([[1.5, 0.1], [0.0, -1.5]])
+    with pytest.raises(ValueError, match="diagonal A"):
+        riccati._riccati_map(np.eye(2), A, np.ones((2, 1)))
+    with pytest.raises(ValueError, match="diagonal A"):
+        riccati_residual(np.eye(2), A, np.ones((2, 1)))

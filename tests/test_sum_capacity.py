@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import GAMMA_STAR_2_1, PHI, SUMCAP_BITS
 from feedcap.errors import SolverError
+from feedcap.matrix_core import hermitian_psd, output_variances
 from feedcap.sum_capacity import (MacParams, c1, c2, c2_concavity_probe,
                                   c2_from_cov, dependence_balance_gap,
                                   g_derivative_check, g_value,
@@ -394,3 +395,105 @@ def test_solve_phi_ends_on_adjacent_floats(n, power):
         assert f(np.nextafter(phi, n)) < 0.0
     else:
         assert f(np.nextafter(phi, 1.0)) >= 0.0
+
+
+# ---- stacks (..., N, N): each matrix's value equals its 2-D call exactly
+
+def _psd_stack(rng, shape, d):
+    m = rng.normal(size=shape + (d, d)) * rng.uniform(0.1, 3.0, size=d)
+    return m @ np.swapaxes(m, -1, -2) + 1e-3 * np.eye(d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_stacked_core_equals_a_loop_of_2d_calls(d):
+    rng = np.random.default_rng(100 + d)
+    k1, k2 = _psd_stack(rng, (7,), d), _psd_stack(rng, (7,), d)
+    h, eig = hermitian_psd(k1, "k")
+    for i in range(7):
+        hi, ei = hermitian_psd(k1[i], "k")
+        assert np.array_equal(h[i], hi) and eig[i] == ei
+    a = validate_cov(k1)
+    assert np.array_equal(a, [validate_cov(k) for k in k1])
+    s, loo = output_variances(a)
+    for i in range(7):
+        si, looi = output_variances(a[i])
+        assert s[i] == si and np.array_equal(loo[i], looi)
+    assert np.array_equal(dependence_balance_gap(k1),
+                          [dependence_balance_gap(k) for k in k1])
+    assert np.array_equal(c2_from_cov(k1), [c2_from_cov(k) for k in k1])
+    assert np.array_equal(gaussian_mutual_info(k1),
+                          [gaussian_mutual_info(k) for k in k1])
+    assert np.array_equal(gaussian_conditional_mi(k1, d - 1),
+                          [gaussian_conditional_mi(k, d - 1) for k in k1])
+    # t broadcast over the stack: (7, 1, d, d) pairs against three t
+    ts = (0.25, 0.5, 0.75)
+    margins = c2_concavity_probe(k1[:, None], k2[:, None], ts)
+    assert margins.shape == (7, 3)
+    assert np.array_equal(margins, [[c2_concavity_probe(x, y, t) for t in ts]
+                                    for x, y in zip(k1, k2)])
+    # a stack of stacks, one t per pair
+    t = rng.uniform(size=(2, 3))
+    got = c2_concavity_probe(k1[:6].reshape(2, 3, d, d),
+                             k2[:6].reshape(2, 3, d, d), t)
+    assert np.array_equal(got.ravel(), [c2_concavity_probe(x, y, s) for x, y, s
+                                        in zip(k1[:6], k2[:6], t.ravel())])
+
+
+def test_stacked_mutual_information_keeps_math_log():
+    # np.log differs from math.log in the last bit on about 1 argument in
+    # 7000, so 20000 stacked matrices would show a switch to it
+    rng = np.random.default_rng(11)
+    k = _psd_stack(rng, (20000,), 2)
+    ref = [0.5 * math.log(1.0 + float(m.sum())) / math.log(2.0) for m in k]
+    assert np.array_equal(gaussian_mutual_info(k), ref)
+
+
+def test_one_matrix_returns_python_floats():
+    k1, k2 = np.diag([1.0, 2.0, 3.0]), symmetric_cov(3, 2.0, 0.4)
+    values = [hermitian_psd(k1, "k")[1], output_variances(k1)[0],
+              dependence_balance_gap(k1), c2_concavity_probe(k1, k2, 0.5),
+              c2_from_cov(k1), gaussian_mutual_info(k1),
+              gaussian_conditional_mi(k1, 1)]
+    assert [type(v) for v in values] == [float] * len(values)
+
+
+def test_stack_tolerance_is_per_matrix_and_names_the_index():
+    # the 1e6-scale matrix would lift a shared tolerance to 1e-4 and hide
+    # the unit-scale matrix's min eigenvalue of -1e-8
+    big = 1e6 * np.eye(2)
+    unit = np.array([[1.0, 0.0], [0.0, -1e-8]])
+    for stack, where in ((np.array([big, unit]), r"\[1\]"),
+                         (np.array([[big, big], [big, unit]]), r"\[1, 1\]")):
+        with pytest.raises(ValueError, match=rf"^covariance{where} must be "
+                           r"positive-semidefinite \(min eig -1e-08\)"):
+            validate_cov(stack)
+        with pytest.raises(ValueError, match=rf"^covariance{where}"):
+            dependence_balance_gap(stack)
+    # asymmetry is judged per matrix too
+    skew = np.array([[1.0, 1e-8], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=r"^k\[1\] must be Hermitian"):
+        hermitian_psd(np.array([big + [[0.0, 1e-5], [0.0, 0.0]], skew]), "k")
+    # the big matrix alone passes: -1e-5 is within its 1e-4
+    assert hermitian_psd(big - 1e-5 * np.eye(2), "k")[1] == 1e6 - 1e-5
+
+
+@pytest.mark.parametrize("bad, match", [
+    (np.array([np.eye(2), [[1.0, np.nan], [np.nan, 1.0]]]), "NaN or Inf"),
+    (np.array([np.eye(2), [[np.inf, 0.0], [0.0, 1.0]]]), "NaN or Inf"),
+    (np.ones((3, 2, 3)), "square"),
+    (np.ones(3), "square"),
+    (np.array([np.eye(2), [[1.0, 0.5j], [-0.5j, 1.0]]]),
+     r"^covariance\[1\] must be real"),
+])
+def test_stacks_refuse_what_one_matrix_refuses(bad, match):
+    with pytest.raises(ValueError, match=match):
+        validate_cov(bad)
+    with pytest.raises(ValueError, match=match):
+        c2_concavity_probe(bad, bad, 0.5)
+
+
+def test_concavity_probe_refuses_t_outside_the_unit_interval():
+    k = np.array([np.eye(2), 2.0 * np.eye(2)])
+    for t in (-0.1, 1.5, np.nan, (0.5, 1.2)):
+        with pytest.raises(ValueError, match="t must lie"):
+            c2_concavity_probe(k, k, t)
